@@ -4,6 +4,9 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
+	"sync"
+
+	"oneport/internal/jsonw"
 )
 
 // jsonPlatform is the wire representation used by MarshalJSON/UnmarshalJSON.
@@ -51,7 +54,14 @@ func (pl *Platform) MarshalJSON() ([]byte, error) {
 // platforms. It runs the same validation as New, so malformed payloads
 // (non-positive cycle-times, ragged matrices, negative links, non-zero
 // diagonals) fail with errors rather than building a corrupt platform.
+//
+// The single-pass ReadJSON runs first; any payload it does not accept is
+// decoded by encoding/json, the reference and the source of every error.
 func (pl *Platform) UnmarshalJSON(data []byte) error {
+	r := jsonw.NewReader(data)
+	if pl.ReadJSON(&r) && r.End() {
+		return nil
+	}
 	var jp jsonPlatform
 	if err := json.Unmarshal(data, &jp); err != nil {
 		return err
@@ -88,4 +98,84 @@ func (pl *Platform) UnmarshalJSON(data []byte) error {
 	}
 	*pl = *built
 	return nil
+}
+
+// readScratch is the pooled state of one ReadJSON: the cycle-times and the
+// link matrix as read, rows back to back in cells.
+type readScratch struct {
+	cycles []float64
+	cells  []float64
+	rows   [][]float64
+	ends   []int // ends[q] is the end of row q in cells
+}
+
+var readPool = sync.Pool{New: func() any { return new(readScratch) }}
+
+// ReadJSON reads into pl, in one pass, a platform in the form MarshalJSON
+// writes — {"cycles":[...],"link":[[...],...]} with null for a missing
+// wire — or the {"cycles":[...],"uniform_link":c} shorthand, keys in any
+// order, within the subset jsonw.Reader accepts. It builds through New or
+// Uniform exactly as UnmarshalJSON does. It reports false, with r failed
+// and pl unchanged, for anything else; the caller then decodes with
+// encoding/json.
+func (pl *Platform) ReadJSON(r *jsonw.Reader) bool {
+	sc := readPool.Get().(*readScratch)
+	defer readPool.Put(sc)
+	sc.cycles, sc.cells, sc.ends = sc.cycles[:0], sc.cells[:0], sc.ends[:0]
+
+	var seen uint32
+	uniform := 1.0
+	r.Open('{')
+	for i := 0; r.More(i, '}'); i++ {
+		switch string(r.Key()) {
+		case "cycles":
+			r.Once(&seen, 1)
+			r.Open('[')
+			for j := 0; r.More(j, ']'); j++ {
+				sc.cycles = append(sc.cycles, r.Float())
+			}
+		case "link":
+			r.Once(&seen, 2)
+			r.Open('[')
+			for j := 0; r.More(j, ']'); j++ {
+				r.Open('[')
+				for k := 0; r.More(k, ']'); k++ {
+					c := math.Inf(1)
+					if !r.Null() {
+						c = r.Float()
+					}
+					sc.cells = append(sc.cells, c)
+				}
+				sc.ends = append(sc.ends, len(sc.cells))
+			}
+		case "uniform_link":
+			r.Once(&seen, 4)
+			uniform = r.Float()
+		default:
+			r.Fail()
+		}
+	}
+	if r.Failed() || seen&6 == 6 {
+		r.Fail()
+		return false
+	}
+	var built *Platform
+	var err error
+	if seen&2 == 0 {
+		built, err = Uniform(sc.cycles, uniform)
+	} else {
+		sc.rows = sc.rows[:0]
+		start := 0
+		for _, end := range sc.ends {
+			sc.rows = append(sc.rows, sc.cells[start:end])
+			start = end
+		}
+		built, err = New(sc.cycles, sc.rows)
+	}
+	if err != nil {
+		r.Fail()
+		return false
+	}
+	*pl = *built
+	return true
 }

@@ -4,6 +4,9 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
+	"strconv"
+
+	"oneport/internal/jsonw"
 )
 
 // Model selects the communication rules a schedule must obey.
@@ -190,8 +193,101 @@ func (s *Schedule) ComputeStats() Stats {
 // MarshalJSON/UnmarshalJSON use the natural field encoding; Done is
 // reconstructed from Proc >= 0.
 func (s *Schedule) MarshalJSON() ([]byte, error) {
-	type alias Schedule
-	return json.Marshal((*alias)(s))
+	return s.AppendJSON(nil)
+}
+
+// AppendJSON appends the schedule's JSON encoding to dst: exactly the bytes
+// encoding/json writes for its fields, without reflection. A nil schedule
+// encodes as null; a NaN or infinite time fails, as it does in
+// encoding/json.
+func (s *Schedule) AppendJSON(dst []byte) ([]byte, error) {
+	if s == nil {
+		return append(dst, "null"...), nil
+	}
+	var err error
+	b := append(dst, `{"tasks":`...)
+	if s.Tasks == nil {
+		b = append(b, "null"...)
+	} else {
+		b = append(b, '[')
+		for i := range s.Tasks {
+			t := &s.Tasks[i]
+			if i > 0 {
+				b = append(b, ',')
+			}
+			b = append(b, `{"task":`...)
+			b = strconv.AppendInt(b, int64(t.Task), 10)
+			b = append(b, `,"proc":`...)
+			b = strconv.AppendInt(b, int64(t.Proc), 10)
+			b = append(b, `,"start":`...)
+			if b, err = jsonw.AppendFloat(b, t.Start); err != nil {
+				return dst, err
+			}
+			b = append(b, `,"finish":`...)
+			if b, err = jsonw.AppendFloat(b, t.Finish); err != nil {
+				return dst, err
+			}
+			b = append(b, '}')
+		}
+		b = append(b, ']')
+	}
+	b = append(b, `,"comms":`...)
+	if s.Comms == nil {
+		b = append(b, "null"...)
+	} else {
+		b = append(b, '[')
+		for i := range s.Comms {
+			c := &s.Comms[i]
+			if i > 0 {
+				b = append(b, ',')
+			}
+			b = append(b, `{"from_task":`...)
+			b = strconv.AppendInt(b, int64(c.FromTask), 10)
+			b = append(b, `,"to_task":`...)
+			b = strconv.AppendInt(b, int64(c.ToTask), 10)
+			b = append(b, `,"data":`...)
+			if b, err = jsonw.AppendFloat(b, c.Data); err != nil {
+				return dst, err
+			}
+			b = append(b, `,"hops":`...)
+			if b, err = appendHops(b, c.Hops); err != nil {
+				return dst, err
+			}
+			b = append(b, '}')
+		}
+		b = append(b, ']')
+	}
+	b = append(b, `,"procs":`...)
+	b = strconv.AppendInt(b, int64(s.Procs), 10)
+	return append(b, '}'), nil
+}
+
+func appendHops(b []byte, hops []Hop) ([]byte, error) {
+	if hops == nil {
+		return append(b, "null"...), nil
+	}
+	var err error
+	b = append(b, '[')
+	for i := range hops {
+		h := &hops[i]
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = append(b, `{"from_proc":`...)
+		b = strconv.AppendInt(b, int64(h.FromProc), 10)
+		b = append(b, `,"to_proc":`...)
+		b = strconv.AppendInt(b, int64(h.ToProc), 10)
+		b = append(b, `,"start":`...)
+		if b, err = jsonw.AppendFloat(b, h.Start); err != nil {
+			return b, err
+		}
+		b = append(b, `,"finish":`...)
+		if b, err = jsonw.AppendFloat(b, h.Finish); err != nil {
+			return b, err
+		}
+		b = append(b, '}')
+	}
+	return append(b, ']'), nil
 }
 
 // UnmarshalJSON decodes a schedule and restores the Done flags.

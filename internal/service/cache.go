@@ -17,11 +17,13 @@ const maxBodyAliases = 4
 // resultCache is a fixed-capacity LRU over computed responses with two
 // indexes: the canonical content hash (CanonicalKey) and the SHA-256 of the
 // raw request body bytes. Entries carry both the decoded Response and the
-// pre-encoded JSON bytes of its cache-hit form (Cached:true, trailing
+// encoded JSON bytes of its cache-hit form (Cached:true, trailing
 // newline), so the serving hot path can answer a repeated request with one
 // body hash, one map lookup and one Write — no JSON decode, no
-// re-canonicalization, no re-encode. Stored responses and encoded bytes are
-// immutable once inserted; readers receive the shared storage read-only.
+// re-canonicalization, no re-encode. The bytes are encoded once, when the
+// entry is inserted, from the same encode as the miss reply. Stored
+// responses and encoded bytes are immutable once inserted; readers receive
+// the shared storage read-only.
 type resultCache struct {
 	mu     sync.Mutex
 	core   *lru.Core[string, *cacheEntry]
@@ -31,9 +33,8 @@ type resultCache struct {
 type cacheEntry struct {
 	key    string
 	resp   *Response
-	enc    []byte              // encoded cache-hit response; nil until attached
+	enc    []byte              // encoded cache-hit response; nil for streamed sizes
 	bodies [][sha256.Size]byte // raw-body aliases pointing at this entry
-	gen    uint64              // bumped when resp is replaced; guards late attaches
 }
 
 // newResultCache returns an LRU holding up to max entries; max <= 0
@@ -45,17 +46,18 @@ func newResultCache(max int) *resultCache {
 	}
 }
 
-// get returns a copy of the cached response with Cached set, or false.
-func (c *resultCache) get(key string) (Response, bool) {
+// get returns a copy of the cached response with Cached set and the
+// entry's encoded hit bytes (nil for streamed sizes), or false.
+func (c *resultCache) get(key string) (Response, []byte, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	e, ok := c.core.Get(key)
 	if !ok {
-		return Response{}, false
+		return Response{}, nil, false
 	}
 	resp := *e.resp
 	resp.Cached = true
-	return resp, true
+	return resp, e.enc, true
 }
 
 // getByBody returns the pre-encoded cache-hit bytes of the entry aliased by
@@ -75,22 +77,21 @@ func (c *resultCache) getByBody(body [sha256.Size]byte) ([]byte, bool) {
 	return e.enc, true
 }
 
-// add inserts (or refreshes) a computed response, evicting the least
-// recently used entry when full. The caller must not mutate resp or its
-// schedule afterwards. A refreshed entry drops its encoded bytes and body
-// aliases: they described the replaced response.
-func (c *resultCache) add(key string, resp *Response) {
+// add inserts (or refreshes) a computed response with its encoded hit
+// bytes (nil for streamed sizes), evicting the least recently used entry
+// when full. The caller must not mutate resp, its schedule or enc
+// afterwards. A refreshed entry drops its body aliases: they were
+// registered against the replaced bytes.
+func (c *resultCache) add(key string, resp *Response, enc []byte) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if e, ok := c.core.Peek(key); ok {
-		e.resp = resp
-		e.enc = nil
-		e.gen++
+		e.resp, e.enc = resp, enc
 		c.dropAliases(e)
 		c.core.Add(key, e) // promote
 		return
 	}
-	c.core.Add(key, &cacheEntry{key: key, resp: resp})
+	c.core.Add(key, &cacheEntry{key: key, resp: resp, enc: enc})
 	for {
 		_, e, ok := c.core.EvictOver()
 		if !ok {
@@ -100,41 +101,15 @@ func (c *resultCache) add(key string, resp *Response) {
 	}
 }
 
-// attachEncoded registers the raw-body alias for key's entry and, when the
-// entry has no encoded bytes yet, attaches the bytes produced by enc. The
-// closure — a full response JSON encode, potentially milliseconds for a
-// large schedule — runs OUTSIDE the cache lock so it never stalls
-// concurrent cache traffic; the entry's generation counter makes a late
-// attach against a refreshed or re-inserted entry a no-op instead of
-// pairing old bytes with a new response.
-func (c *resultCache) attachEncoded(key string, body [sha256.Size]byte, enc func() []byte) {
-	c.mu.Lock()
-	e0, ok := c.core.Peek(key)
-	if !ok {
-		c.mu.Unlock()
-		return // evicted between compute and attach; nothing to index
-	}
-	gen, need := e0.gen, e0.enc == nil
-	c.mu.Unlock()
-
-	var encoded []byte
-	if need {
-		if encoded = enc(); encoded == nil {
-			return // response not serializable; leave the entry byte-less
-		}
-	}
-
+// alias registers a raw-body hash for key's entry, so repeats of that byte
+// spelling are served from the byte index. Entries without encoded bytes,
+// and entries already at maxBodyAliases, take no alias.
+func (c *resultCache) alias(key string, body [sha256.Size]byte) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	e, ok := c.core.Peek(key)
-	if !ok || e != e0 || e.gen != gen {
-		return // evicted, re-inserted or refreshed while encoding
-	}
-	if e.enc == nil && encoded != nil {
-		e.enc = encoded
-	}
-	if e.enc == nil {
-		return // lost the need-race to a refresh; next request re-attaches
+	if !ok || e.enc == nil {
+		return // evicted since it was served, or streamed-size
 	}
 	if _, aliased := c.bodies[body]; aliased || len(e.bodies) >= maxBodyAliases {
 		return

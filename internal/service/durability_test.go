@@ -8,10 +8,12 @@ import (
 	"net/http/httptest"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"oneport/internal/graph"
 	"oneport/internal/platform"
 	"oneport/internal/service/admit"
+	"oneport/internal/service/breaker"
 	"oneport/internal/service/journal"
 	"oneport/internal/testbeds"
 )
@@ -386,6 +388,32 @@ func TestDrainWithDeadPeerKeepsSessions(t *testing.T) {
 	srv2 := New(Config{SessionJournal: journalStoreT(t, dir)})
 	if recovered, failed, err := srv2.RecoverSessions(context.Background()); err != nil || recovered != 1 || failed != 0 {
 		t.Fatalf("recovery after failed drain = %d, %d, %v", recovered, failed, err)
+	}
+}
+
+// TestDrainShedPeerKeepsBreakerClosed: a survivor that sheds the import
+// with a 503 is alive, not dead — the drain keeps the session here, and
+// the peer's circuit breaker stays closed, because overload must never
+// masquerade as peer death.
+func TestDrainShedPeerKeepsBreakerClosed(t *testing.T) {
+	shed := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
+		w.Header().Set("Retry-After", "1")
+		w.WriteHeader(http.StatusServiceUnavailable)
+	}))
+	defer shed.Close()
+	var sA atomic.Pointer[Server]
+	tsA := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		sA.Load().Handler().ServeHTTP(w, r)
+	}))
+	defer tsA.Close()
+	sA.Store(New(Config{Self: tsA.URL, Peers: []string{tsA.URL, shed.URL}}))
+
+	openSession(t, tsA, Request{Graph: testbeds.LU(8, 10), Platform: platform.Paper(), Heuristic: "heft", Model: "oneport"})
+	if moved, kept := sA.Load().DrainSessions(context.Background()); moved != 0 || kept != 1 {
+		t.Fatalf("DrainSessions = %d moved, %d kept, want 0, 1", moved, kept)
+	}
+	if got := sA.Load().PeerBreakers().Get(shed.URL).CurrentState(time.Now()); got != breaker.Closed {
+		t.Fatalf("breaker %v after a shed import, want closed", got)
 	}
 }
 

@@ -188,24 +188,28 @@ func TestEncodedCacheEvictionDropsAliases(t *testing.T) {
 	c := newResultCache(1)
 	resp := &Response{Key: "k1"}
 	body := sha256.Sum256([]byte("req1"))
-	c.add("k1", resp)
-	c.attachEncoded("k1", body, func() []byte { return []byte(`{"key":"k1"}`) })
+	c.add("k1", resp, []byte(`{"key":"k1"}`))
+	c.alias("k1", body)
 	if _, ok := c.getByBody(body); !ok {
 		t.Fatal("alias not registered")
 	}
-	c.add("k2", &Response{Key: "k2"}) // evicts k1
+	c.add("k2", &Response{Key: "k2"}, []byte(`{"key":"k2"}`)) // evicts k1
 	if _, ok := c.getByBody(body); ok {
 		t.Fatal("evicted entry still reachable through its body alias")
 	}
-	if _, ok := c.get("k1"); ok {
+	if _, _, ok := c.get("k1"); ok {
 		t.Fatal("evicted entry still reachable through its canonical key")
 	}
-	// refreshing an existing entry drops stale enc/aliases too
-	c.add("k2", &Response{Key: "k2"})
+	// refreshing an existing entry drops its aliases too
 	body2 := sha256.Sum256([]byte("req2"))
-	c.attachEncoded("k2", body2, func() []byte { return []byte(`{"key":"k2"}`) })
-	c.add("k2", &Response{Key: "k2", Makespan: 1})
+	c.alias("k2", body2)
+	c.add("k2", &Response{Key: "k2", Makespan: 1}, nil)
 	if _, ok := c.getByBody(body2); ok {
 		t.Fatal("refreshed entry served the replaced response's bytes")
+	}
+	// an entry without bytes (a streamed size) takes no alias
+	c.alias("k2", body2)
+	if _, ok := c.getByBody(body2); ok {
+		t.Fatal("byte-less entry registered a body alias")
 	}
 }

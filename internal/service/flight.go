@@ -15,8 +15,9 @@ type flightGroup struct {
 
 // flight is one in-flight computation. resp and enc are written by the
 // leader before done is closed and read-only afterwards. enc, when non-nil,
-// is the pre-encoded response body fetched from a peer replica: HTTP
-// followers relay it verbatim, library followers use resp.
+// is the encoded reply — a run's miss reply, a cache entry's hit bytes or
+// a peer's bytes: HTTP followers write it verbatim, library followers use
+// resp.
 type flight struct {
 	done chan struct{}
 	resp Response

@@ -84,10 +84,10 @@ func (s *Server) DrainSessions(ctx context.Context) (moved, kept int) {
 // sendSessionImport posts one session snapshot to a peer's import
 // endpoint, tagged with the epoch the owner was resolved under, settling
 // the peer's circuit breaker with the verdict it earned (the same rules
-// as cache fills: transport failure and 5xx are the peer's fault, any
-// completed verdict proves it alive, our own cancellation proves
-// nothing). Only a 200 — the peer rebuilt and journaled the session —
-// counts as delivered.
+// as cache fills: transport failure and 5xx other than a 503 shed are the
+// peer's fault, any completed verdict proves it alive, our own
+// cancellation proves nothing). Only a 200 — the peer rebuilt and
+// journaled the session — counts as delivered.
 func (s *Server) sendSessionImport(ctx context.Context, owner string, epoch uint64, snap *session.Snapshot) error {
 	now := time.Now()
 	if !s.peers.breakers.Allow(owner, now) {
@@ -123,11 +123,12 @@ func (s *Server) sendSessionImport(ctx context.Context, owner string, epoch uint
 		s.peers.skews.Add(1)
 		s.peers.breakers.Success(owner)
 		return fmt.Errorf("service: peer %s serves a different ring epoch", owner)
-	case hr.StatusCode >= 500:
+	case hr.StatusCode >= 500 && hr.StatusCode != http.StatusServiceUnavailable:
 		s.peers.breakers.Failure(owner, time.Now())
 		return fmt.Errorf("service: peer %s import failed: %s", owner, hr.Status)
 	default:
-		// 4xx (or a 503 shed): the peer answered — alive, but refusing
+		// 4xx or a 503 shed: the peer answered — alive, but refusing;
+		// overload must never masquerade as peer death
 		s.peers.breakers.Success(owner)
 		return fmt.Errorf("service: peer %s refused import: %s", owner, hr.Status)
 	}

@@ -143,8 +143,8 @@ type Server struct {
 	recovering       atomic.Bool  // journal replay in progress: readyz not-ready
 	sessionRedirects atomic.Int64 // session requests 307ed to the id's ring owner
 
-	// testHook, when non-nil, runs inside compute between the scratch
-	// borrow and the heuristic call. Tests use it to inject panics (the
+	// testHook, when non-nil, runs inside run between the scratch borrow
+	// and the heuristic call. Tests use it to inject panics (the
 	// recovery path cannot be reached through valid inputs) and to gate
 	// compute for coalescing assertions. Never set in production.
 	testHook func(*Request)
@@ -253,7 +253,7 @@ func (s *Server) Run(req *Request) Response {
 		return Response{Error: err.Error()}
 	}
 	key := CanonicalKey(req)
-	if resp, ok := s.cache.get(key); ok {
+	if resp, _, ok := s.cache.get(key); ok {
 		s.hits.Add(1)
 		return resp
 	}
@@ -265,17 +265,18 @@ func (s *Server) Run(req *Request) Response {
 // batch jobs or peer-forwarded fills — exactly one runs the scheduler, the
 // rest wait and share its response (counted in coalesced). The leader
 // re-checks the cache because a flight that completed between a caller's
-// miss and its leadership has already populated the entry.
+// miss and its leadership has already populated the entry. The flight
+// also carries the encoded reply, for HTTP followers of this leader.
 func (s *Server) runFlight(req *Request, key string, model sched.Model, ln lane) Response {
 	resp, _ := s.flights.do(key,
 		func() { s.coalesced.Add(1) },
 		func() (Response, []byte) {
-			if resp, ok := s.cache.get(key); ok {
+			if resp, enc, ok := s.cache.get(key); ok {
 				s.hits.Add(1)
-				return resp, nil
+				return resp, enc
 			}
 			s.misses.Add(1)
-			return s.compute(req, key, model, ln), nil
+			return s.compute(req, key, model, ln)
 		})
 	return resp
 }
@@ -291,24 +292,26 @@ const maxServeAttempts = 3
 // peer fill before computing, so N concurrent identical cold requests on a
 // non-owner replica cost ONE owner fetch shared by all waiters — never N
 // full-body transfers — and the owner's own singleflight bounds the fleet
-// to one scheduler run. When the leader filled from a peer, the returned
-// enc carries the owner's bytes for followers to relay verbatim.
+// to one scheduler run. The returned enc, when non-nil, is the reply every
+// caller of the flight writes verbatim: the entry's hit bytes on a
+// canonical hit, the miss reply of a local run, or the owner's bytes after
+// a peer fill. nil means resp must be encoded (errors, streamed sizes).
 //
 // A stream-marked owner response cannot be shared through the flight (the
 // body is a wire stream, not bytes): the leader carries it out via the
 // returned relay and streams it to its own client; followers see
 // resp.relayStreamed and retry.
-func (s *Server) serveFlight(req *Request, sum, body [sha256.Size]byte, key string, model sched.Model, fromPeer bool, raw []byte, ln lane) (Response, []byte, *peerRelay) {
+func (s *Server) serveFlight(req *Request, sum [sha256.Size]byte, key string, model sched.Model, fromPeer bool, raw []byte, ln lane) (Response, []byte, *peerRelay) {
 	var relay *peerRelay
 	resp, enc := s.flights.do(key,
 		func() { s.coalesced.Add(1) },
 		func() (Response, []byte) {
-			if resp, ok := s.cache.get(key); ok {
+			if resp, enc, ok := s.cache.get(key); ok {
 				s.hits.Add(1)
-				return resp, nil
+				return resp, enc
 			}
 			if !fromPeer && s.peers != nil {
-				resp, enc, rel, ok := s.peerFill(ln.ctx, sum, body, key, raw, ln.tenant)
+				resp, enc, rel, ok := s.peerFill(ln.ctx, sum, key, raw, ln.tenant)
 				if rel != nil {
 					relay = rel
 					return Response{relayStreamed: true}, nil
@@ -318,22 +321,40 @@ func (s *Server) serveFlight(req *Request, sum, body [sha256.Size]byte, key stri
 				}
 			}
 			s.misses.Add(1)
-			return s.compute(req, key, model, ln), nil
+			return s.compute(req, key, model, ln)
 		})
 	return resp, enc, relay
 }
 
-// compute runs the scheduler for one request. It is panic-hardened: a
-// panicking heuristic — on this goroutine or re-raised from a shared probe
-// worker (heuristics' pool faults surface after the fan-out barrier) —
-// becomes a serverFault response (HTTP 500) instead of escaping the "never
-// panics" contract. The pooled Scratch goes back via defer on every normal
-// path; on a panic it is deliberately dropped, not re-pooled: the
-// heuristic's own reclaim defer runs during unwinding and may have
-// restocked it with the dead run's buffers, which a mid-fan-out panic can
-// leave referenced by in-flight probe workers — dropping the one Scratch
-// is the alias-free option, and the pool regrows a fresh one on demand.
-func (s *Server) compute(req *Request, key string, model sched.Model, ln lane) (resp Response) {
+// compute runs the scheduler for one request and caches a clean result.
+// The result is encoded once, outside the pool slot, into its miss reply
+// (returned for the caller to write) and the cache entry's hit bytes;
+// results above the streaming threshold are cached without bytes.
+func (s *Server) compute(req *Request, key string, model sched.Model, ln lane) (Response, []byte) {
+	resp := s.run(req, key, model, ln)
+	if resp.Error != "" {
+		return resp, nil
+	}
+	var miss, hit []byte
+	if !s.shouldStream(&resp) {
+		miss, hit = encodeEntry(resp)
+	}
+	s.cache.add(key, &resp, hit)
+	return resp, miss
+}
+
+// run is compute's scheduler run, under admission or the pool semaphore.
+// It is panic-hardened: a panicking heuristic — on this goroutine or
+// re-raised from a shared probe worker (heuristics' pool faults surface
+// after the fan-out barrier) — becomes a serverFault response (HTTP 500)
+// instead of escaping the "never panics" contract. The pooled Scratch goes
+// back via defer on every normal path; on a panic it is deliberately
+// dropped, not re-pooled: the heuristic's own reclaim defer runs during
+// unwinding and may have restocked it with the dead run's buffers, which a
+// mid-fan-out panic can leave referenced by in-flight probe workers —
+// dropping the one Scratch is the alias-free option, and the pool regrows
+// a fresh one on demand.
+func (s *Server) run(req *Request, key string, model sched.Model, ln lane) (resp Response) {
 	if s.admission != nil {
 		// admission decides BEFORE any pool slot is taken: a shed costs
 		// queue bookkeeping only, never compute capacity. The ticket IS
@@ -404,7 +425,7 @@ func (s *Server) compute(req *Request, key string, model sched.Model, ln lane) (
 	if ms := schedule.Makespan(); ms > 0 {
 		speedup = req.Platform.SequentialTime(req.Graph.TotalWeight()) / ms
 	}
-	out := Response{
+	return Response{
 		Key:       key,
 		Heuristic: req.Heuristic,
 		Model:     req.Model,
@@ -415,8 +436,6 @@ func (s *Server) compute(req *Request, key string, model sched.Model, ln lane) (
 		ElapsedNs: elapsed.Nanoseconds(),
 		Schedule:  schedule,
 	}
-	s.cache.add(key, &out)
-	return out
 }
 
 // RunBatch executes a batch's jobs concurrently on the worker pool and
@@ -464,7 +483,7 @@ func (s *Server) runBatchJob(ctx context.Context, req *Request, tenant string) R
 		return Response{Error: err.Error()}
 	}
 	key := CanonicalKey(req)
-	if resp, ok := s.cache.get(key); ok {
+	if resp, _, ok := s.cache.get(key); ok {
 		s.hits.Add(1)
 		return resp
 	}
@@ -543,11 +562,12 @@ func (s *Server) handleCachePeer(w http.ResponseWriter, r *http.Request) {
 // the raw body bytes are hashed and looked up in the cache's byte index, so
 // a repeated request costs one pooled body read, one SHA-256 and one Write
 // of the pre-encoded response. Only requests that miss the byte index are
-// decoded; a cold key owned by another replica is filled from the owner
-// before this replica computes (peerFill), and after a successful run (or a
-// canonical-index hit under a new byte spelling) the encoded response is
-// attached to the cache and the body hash registered, so the next repeat
-// stays on the fast path.
+// decoded (decodeRequest: one pass over the pooled body); a cold key owned
+// by another replica is filled from the owner before this replica computes
+// (peerFill). Every reply with encoded bytes — a run's miss reply, a
+// canonical-index hit under a new byte spelling, a peer fill — is written
+// as is and registers the body hash, so the next repeat stays on the fast
+// path.
 func (s *Server) serveSchedule(w http.ResponseWriter, r *http.Request, fromPeer bool) {
 	buf, release, err := s.readBody(w, r)
 	if err != nil {
@@ -571,9 +591,7 @@ func (s *Server) serveSchedule(w http.ResponseWriter, r *http.Request, fromPeer 
 	}
 
 	var req Request
-	dec := json.NewDecoder(bytes.NewReader(buf.Bytes()))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
+	if err := decodeRequest(buf.Bytes(), &req); err != nil {
 		s.errors.Add(1)
 		writeJSON(w, http.StatusBadRequest, Response{Error: fmt.Sprintf("service: bad request body: %v", err)})
 		return
@@ -601,7 +619,7 @@ func (s *Server) serveSchedule(w http.ResponseWriter, r *http.Request, fromPeer 
 	var enc []byte
 	for attempt := 0; ; attempt++ {
 		var relay *peerRelay
-		resp, enc, relay = s.serveFlight(&req, sum, body, key, model, fromPeer, buf.Bytes(), ln)
+		resp, enc, relay = s.serveFlight(&req, sum, key, model, fromPeer, buf.Bytes(), ln)
 		if relay != nil {
 			// this request led a stream-marked fill: pipe the owner's body
 			// straight to the client, no staging
@@ -616,14 +634,13 @@ func (s *Server) serveSchedule(w http.ResponseWriter, r *http.Request, fromPeer 
 		// fresh relay — and after the budget compute locally outside the flight
 		if attempt >= maxServeAttempts-1 {
 			s.misses.Add(1)
-			resp, enc = s.compute(&req, key, model, ln), nil
+			resp, enc = s.compute(&req, key, model, ln)
 			break
 		}
 	}
 	if enc != nil {
-		// peer-filled: relay the owner's bytes verbatim (the leader already
-		// adopted them into the local cache and byte index)
 		writeRaw(w, http.StatusOK, enc)
+		s.cache.alias(key, body)
 		return
 	}
 	status := http.StatusOK
@@ -640,11 +657,6 @@ func (s *Server) serveSchedule(w http.ResponseWriter, r *http.Request, fromPeer 
 		status = http.StatusBadRequest
 	}
 	s.writeResponse(w, status, &resp)
-	if resp.Error == "" && !s.shouldStream(&resp) {
-		// index this byte spelling; the encode closure only runs if the
-		// entry has no encoded bytes yet (once per cache entry lifetime)
-		s.cache.attachEncoded(resp.Key, body, encodeHit(resp))
-	}
 }
 
 // readBody reads one request body through the serving path's pooled-buffer,
@@ -689,7 +701,7 @@ type peerRelay struct {
 // owner's fault (Failure); an owner 4xx and a ring-epoch 409 prove the
 // owner alive (Success); our own client hanging up proves nothing
 // (Cancel). ok=false always degrades to local compute.
-func (s *Server) peerFill(ctx context.Context, sum, body [sha256.Size]byte, key string, raw []byte, tenant string) (Response, []byte, *peerRelay, bool) {
+func (s *Server) peerFill(ctx context.Context, sum [sha256.Size]byte, key string, raw []byte, tenant string) (Response, []byte, *peerRelay, bool) {
 	owner, isSelf, epoch, active := s.peers.owner(sum)
 	if !active || isSelf {
 		return Response{}, nil, nil, false
@@ -772,11 +784,12 @@ func (s *Server) peerFill(ctx context.Context, sum, body [sha256.Size]byte, key 
 	s.peerHits.Add(1)
 	s.peers.breakers.Success(owner)
 	stored := resp
-	stored.Cached = false // stored form; get and encodeHit re-mark hits
-	s.cache.add(key, &stored)
+	stored.Cached = false // stored form; get re-marks hits
+	var hit []byte
 	if !s.shouldStream(&stored) {
-		s.cache.attachEncoded(key, body, encodeHit(stored))
+		_, hit = encodeEntry(stored)
 	}
+	s.cache.add(key, &stored, hit)
 	return resp, enc, nil, true
 }
 
@@ -828,20 +841,6 @@ func (t *readErrTracker) Read(p []byte) (int, error) {
 func drainClose(body io.ReadCloser) {
 	_, _ = io.Copy(io.Discard, io.LimitReader(body, 4096))
 	body.Close()
-}
-
-// encodeHit builds the attachEncoded closure for a response: its cache-hit
-// form (Cached:true, trailing newline) encoded once per entry lifetime.
-// resp is captured by value, so the caller's copy is never mutated.
-func encodeHit(resp Response) func() []byte {
-	return func() []byte {
-		resp.Cached = true
-		b, err := json.Marshal(resp)
-		if err != nil {
-			return nil
-		}
-		return append(b, '\n')
-	}
 }
 
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {

@@ -9,7 +9,6 @@ import (
 	"fmt"
 	"net/http"
 	"strconv"
-	"time"
 
 	"oneport/internal/heuristics"
 	"oneport/internal/service/admit"
@@ -61,9 +60,7 @@ func (s *Server) handleSessionOpen(w http.ResponseWriter, r *http.Request) {
 	}
 	defer release()
 	var req Request
-	dec := json.NewDecoder(bytes.NewReader(buf.Bytes()))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
+	if err := decodeRequest(buf.Bytes(), &req); err != nil {
 		s.errors.Add(1)
 		writeJSON(w, http.StatusBadRequest, Response{Error: fmt.Sprintf("service: bad request body: %v", err)})
 		return
@@ -339,21 +336,30 @@ func (s *Server) writeSessionError(w http.ResponseWriter, err error) {
 	writeJSON(w, status, Response{Error: err.Error()})
 }
 
-// writeSessionResponse writes a session reply, streaming the encode for
+// writeSessionResponse writes a session reply, encoded once by the append
+// encoder into a pooled buffer, or streamed through encoding/json for
 // bodies whose estimate exceeds Config.StreamBytes — the same threshold
 // and wire mark as /schedule, so a delta on a huge session never stages a
-// many-megabyte body in pooled buffers.
+// many-megabyte body in pooled buffers. A reply the append encoder refuses
+// goes to writeJSON, whose encoding/json refuses it too and answers 500.
 func (s *Server) writeSessionResponse(w http.ResponseWriter, resp *SessionResponse) {
-	if !s.shouldStream(&resp.Response) {
+	if s.shouldStream(&resp.Response) {
+		w.Header().Set(streamMarkHeader, "1")
+		streamJSON(w, http.StatusOK, resp)
+		return
+	}
+	bp := encodePool.Get().(*[]byte)
+	defer encodePool.Put(bp)
+	b, err := appendSessionResponse((*bp)[:0], resp)
+	*bp = b
+	if err != nil {
 		writeJSON(w, http.StatusOK, resp)
 		return
 	}
-	w.Header().Set(streamMarkHeader, "1")
-	streamJSON(w, http.StatusOK, resp)
+	*bp = append(b, '\n')
+	writeRaw(w, http.StatusOK, *bp)
 }
 
 // Sessions exposes the session manager, for callers embedding the server
 // that need direct (non-HTTP) session access or its counters.
 func (s *Server) Sessions() *session.Manager { return s.sessions }
-
-var _ = time.Duration(0)

@@ -84,8 +84,9 @@ func currentEpoch() uint64 {
 // result. ok=false for any reason — no fleet, we own the key, breaker
 // open, transport failure, epoch skew, owner-side job error — degrades to
 // local compute. Breaker attribution mirrors the scheduling service:
-// transport failures and owner 5xx/undecodable bodies are the owner's
-// fault; epoch skew and owner 4xx prove it alive.
+// transport failures, owner 5xx other than a 503 shed, and undecodable
+// bodies are the owner's fault; epoch skew, a 503 shed and owner 4xx
+// prove it alive.
 func fleetFill(key [sha256.Size]byte, job Job, pl *platform.Platform) (Result, bool) {
 	f := fleetState.Load()
 	if f == nil || f.Owner == nil {
@@ -135,6 +136,9 @@ func fleetFill(key [sha256.Size]byte, job Job, pl *platform.Platform) (Result, b
 	switch {
 	case resp.StatusCode == http.StatusConflict:
 		success() // epoch skew: alive, just mid-membership-push
+		return Result{}, false
+	case resp.StatusCode == http.StatusServiceUnavailable:
+		success() // shedding load: overload must never masquerade as peer death
 		return Result{}, false
 	case resp.StatusCode >= 500:
 		failure()

@@ -16,11 +16,11 @@ import (
 
 // fleetStub is a fake ring owner: it records the fill protocol headers and
 // answers according to its mode — a canned result (recognizable Speedup no
-// real run could produce), an epoch-skew 409, or a 500.
+// real run could produce), an epoch-skew 409, a 503 shed, or a 500.
 type fleetStub struct {
 	srv   *httptest.Server
 	fills atomic.Int64
-	mode  atomic.Value // "serve" | "skew" | "boom"
+	mode  atomic.Value // "serve" | "skew" | "shed" | "boom"
 	local atomic.Value // last X-Sweep-Local header
 	epoch atomic.Value // last X-Ring-Epoch header
 }
@@ -38,6 +38,10 @@ func newFleetStub(t *testing.T) *fleetStub {
 		switch st.mode.Load() {
 		case "skew":
 			w.WriteHeader(http.StatusConflict)
+			return
+		case "shed":
+			w.Header().Set("Retry-After", "1")
+			w.WriteHeader(http.StatusServiceUnavailable)
 			return
 		case "boom":
 			w.WriteHeader(http.StatusInternalServerError)
@@ -132,6 +136,38 @@ func TestFleetRingFill(t *testing.T) {
 	}
 	if stub.fills.Load() != before {
 		t.Fatalf("open breaker still sent a fill (owner saw %d, want %d)", stub.fills.Load(), before)
+	}
+}
+
+// TestFleetFillShedKeepsBreakerClosed: an owner shedding load answers 503;
+// the lane computes locally and the owner's breaker stays closed, because
+// overload must never masquerade as peer death.
+func TestFleetFillShedKeepsBreakerClosed(t *testing.T) {
+	ResetWorkerCache()
+	t.Cleanup(ResetWorkerCache)
+	t.Cleanup(func() { EnableFleet(nil) })
+
+	stub := newFleetStub(t)
+	stub.mode.Store("shed")
+	brk := breaker.NewSet(breaker.Config{Jitter: -1})
+	EnableFleet(&Fleet{
+		Self:     "http://self.invalid",
+		Owner:    func([sha256.Size]byte) (string, bool, uint64, bool) { return stub.srv.URL, false, 7, true },
+		Epoch:    func() uint64 { return 7 },
+		Breakers: brk,
+	})
+	out, err := RunShard(&Shard{Jobs: []Job{{Kind: KindBSweep, Testbed: "lu", Size: 20, Model: "oneport", B: 4}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res := out.Results[0]; res.Err != "" || res.Speedup == stubSpeedup || out.RingFills != 0 {
+		t.Fatalf("shed fill: err=%q speedup=%v ring_fills=%d, want a local compute", res.Err, res.Speedup, out.RingFills)
+	}
+	if stub.fills.Load() != 1 {
+		t.Fatalf("owner saw %d fills, want 1", stub.fills.Load())
+	}
+	if got := brk.Get(stub.srv.URL).CurrentState(time.Now()); got != breaker.Closed {
+		t.Fatalf("breaker %v after a 503 shed, want closed", got)
 	}
 }
 
