@@ -82,14 +82,6 @@ func cpopRun(g *graph.Graph, pl *platform.Platform, model sched.Model, tune *Tun
 		}
 	}
 
-	// CPOP's processor scan runs on the frontier engine like BIL's: each
-	// popped off-path task's row goes through the cached scan with the
-	// monotone-bound stale-skip (stale finishes lower-bound true finishes,
-	// so most pairs a commit invalidated are disposed of without a probe),
-	// and critical-path tasks probe only their pinned processor. The
-	// engine-backed scan is byte-identical to the pre-engine bestEFT loop
-	// (cpopReference; TestCPOPFrontierDeterminism).
-	f := attachFrontier(s)
 	ready := newReadyList(prio)
 	rel := newReleaser(g)
 	for _, v := range rel.initial() {
@@ -101,7 +93,7 @@ func cpopRun(g *graph.Graph, pl *platform.Platform, model sched.Model, tune *Tun
 		if onCP[v] {
 			best = s.probe(v, cpProc, s.preds(v))
 		} else {
-			best = f.bestInRow(v)
+			best = s.bestEFT(v, nil)
 		}
 		s.commit(v, best)
 		for _, nv := range rel.release(v) {
@@ -147,99 +139,78 @@ func dlsRun(g *graph.Graph, pl *platform.Platform, model sched.Model, tune *Tuni
 		ready.push(v)
 	}
 	np := pl.NumProcs()
-	lazy := s.par <= 1
-	// heavy marks frontiers where the bound pass barely skips anything (a
-	// fork-join chunk: every pair's communication crosses the same source
-	// port, so each commit re-inflates every stale bound); there a single
-	// refresh-as-you-scan sweep avoids the second pass. Re-sampled
-	// periodically in case the frontier's shape changes. Both modes (and
-	// the parallel ensure) compute the exact same argmax.
+	sc := f.scan
+	// Every step computes the exact argmax over all (ready task, processor)
+	// pairs by the total order (DL desc, task id asc, proc id asc) — exactly
+	// the pair the former ascending-id strict-improvement scan kept — at
+	// any probe parallelism, so schedules never depend on it. A light step
+	// scores the fresh and compute-refreshed entries, then visits the
+	// staleFull pairs in a bound pass: a pair whose DL upper bound
+	// sl − boundStart + Δ cannot beat the incumbent under the full tie-break
+	// can never be the argmax and is skipped without a probe; the rest are
+	// re-probed exactly once. A heavy step is one where the bound barely
+	// skips anything (a fork-join chunk: every pair's message crosses the
+	// same source port, so each commit re-inflates every stale bound); it
+	// re-probes the whole frontier in one ensure — through the worker pool
+	// when the run allows it — and scores exact entries only. Heaviness is
+	// re-sampled every 16th step in case the frontier's shape changes.
 	heavy := false
 	step := 0
 	for !ready.empty() {
 		step++
-		useBound := lazy && (!heavy || step%16 == 0)
-		if !lazy {
-			// parallel budget: revalidate the whole frontier through the
-			// worker pool — only the pairs the last commit perturbed are
-			// re-probed — then reduce over exact scores
+		light := !heavy || step%16 == 0
+		if !light {
 			f.ensure(ready.items())
 		}
-		// argmax over every (ready task, processor) pair by the total order
-		// (DL desc, task id asc, proc id asc) — exactly the pair the former
-		// ascending-id strict-improvement scan kept
 		bestV, bestP, bestDL := -1, -1, math.Inf(-1)
 		better := func(dl float64, v, q int) bool {
 			return dl > bestDL || (dl == bestDL && (v < bestV || (v == bestV && q < bestP)))
 		}
-		// exact pass: cached and compute-refreshed entries (every entry when
-		// the parallel ensure ran; heavy mode re-probes stale pairs inline)
+		stale := sc.stale[:0]
 		for _, v := range ready.items() {
 			row := f.row(v)
 			w := g.Weight(v)
-			var preds []predInfo
-			havePreds := false
 			for q := 0; q < np; q++ {
 				e := &row[q]
-				if lazy {
+				if light {
 					switch f.staleKind(v, q, e) {
 					case staleCompute:
 						f.fastRefresh(v, q, e)
 					case staleFull:
-						if useBound {
-							continue // bound pass below
-						}
-						if !havePreds {
-							preds = s.preds(v)
-							havePreds = true
-						}
-						f.refresh(v, q, preds)
+						stale = append(stale, probePair{v: int32(v), p: int32(q)})
+						continue
 					}
 				}
-				delta := w*ef - pl.ExecTime(w, q)
-				dl := sl[v] - e.start + delta
+				dl := sl[v] - e.start + (w*ef - pl.ExecTime(w, q))
 				if better(dl, v, q) {
 					bestV, bestP, bestDL = v, q, dl
 				}
 			}
 		}
-		if useBound {
-			// bound pass: committed reservations only ever grow the
-			// timelines, so a stale cached start is a lower bound on the
-			// true start and sl − start + Δ an upper bound on the true DL.
-			// A stale pair whose bound cannot beat the incumbent (under the
-			// full tie-break) can never be the argmax and is skipped without
-			// a probe; the rest are re-probed exactly once.
-			cand, refreshed := 0, 0
-			for _, v := range ready.items() {
-				row := f.row(v)
+		if light {
+			refreshed := 0
+			predsOf := -1
+			var preds []predInfo
+			for _, pr := range stale {
+				v, q := int(pr.v), int(pr.p)
+				e := &f.entries[v*np+q]
 				w := g.Weight(v)
-				var preds []predInfo
-				havePreds := false
-				for q := 0; q < np; q++ {
-					e := &row[q]
-					if f.staleKind(v, q, e) != staleFull {
-						continue
-					}
-					cand++
-					delta := w*ef - pl.ExecTime(w, q)
-					if bound := sl[v] - f.boundStart(e) + delta; !better(bound, v, q) {
-						continue
-					}
-					if !havePreds {
-						preds = s.preds(v)
-						havePreds = true
-					}
-					refreshed++
-					f.refresh(v, q, preds)
-					dl := sl[v] - e.start + delta
-					if better(dl, v, q) {
-						bestV, bestP, bestDL = v, q, dl
-					}
+				delta := w*ef - pl.ExecTime(w, q)
+				if !better(sl[v]-f.boundStart(e)+delta, v, q) {
+					continue
+				}
+				if predsOf != v {
+					preds, predsOf = s.preds(v), v
+				}
+				refreshed++
+				f.refresh(v, q, preds)
+				if dl := sl[v] - e.start + delta; better(dl, v, q) {
+					bestV, bestP, bestDL = v, q, dl
 				}
 			}
-			heavy = cand >= 64 && refreshed*4 >= cand*3
+			heavy = len(stale) >= 64 && refreshed*4 >= len(stale)*3
 		}
+		sc.stale = stale
 		s.commit(bestV, f.placementFor(bestV, bestP))
 		ready.remove(bestV)
 		for _, nv := range rel.release(bestV) {
@@ -277,11 +248,6 @@ func bilRun(g *graph.Graph, pl *platform.Platform, model sched.Model, tune *Tuni
 		return nil, err
 	}
 
-	// BIL's level scan runs on the frontier engine like DLS and Exhaustive:
-	// each popped task's processor row is probed through the shared cached +
-	// parallel scan machinery, and the earliest-finish reduction (ties to
-	// the lowest processor index) is identical to bestEFT's.
-	f := attachFrontier(s)
 	ready := newReadyList(prio)
 	rel := newReleaser(g)
 	for _, v := range rel.initial() {
@@ -289,7 +255,7 @@ func bilRun(g *graph.Graph, pl *platform.Platform, model sched.Model, tune *Tuni
 	}
 	for !ready.empty() {
 		v := ready.pop()
-		s.commit(v, f.bestInRow(v))
+		s.commit(v, s.bestEFT(v, nil))
 		for _, nv := range rel.release(v) {
 			ready.push(nv)
 		}

@@ -88,15 +88,15 @@ func ExhaustiveTuned(g *graph.Graph, pl *platform.Platform, model sched.Model, n
 			return
 		}
 		// Score every (ready, proc) pair: cache hits for everything the path
-		// to this node left untouched. Committed reservations only ever grow
-		// the timelines, so even a stale cached start is a lower bound on
-		// the pair's true start — a pair the bound prunes on a stale score
+		// to this node left untouched. A stale entry's bound lower-bounds the
+		// pair's true start (frontier.startBound), so a pair the bound prunes
 		// is pruned without ever re-probing it (the reference search, seeing
-		// the only-larger true start, prunes it too). With a parallel budget
-		// the surviving invalid pairs are swept up front through the worker
-		// pool; sequentially the walk is lazy and each survivor is probed
-		// exactly once (the refreshing probe doubles as the expansion's
-		// placement).
+		// the no-smaller true start, prunes it too), and every pair that
+		// survives the bound is judged again on its exact start. With a
+		// parallel budget the surviving invalid pairs are swept up front
+		// through the worker pool; sequentially the walk is lazy and each
+		// survivor is probed exactly once (the refreshing probe doubles as
+		// the expansion's placement).
 		batch := st.par > 1
 		if batch {
 			f := st.frontier
@@ -112,7 +112,7 @@ func ExhaustiveTuned(g *graph.Graph, pl *platform.Platform, model sched.Model, n
 			row := st.frontier.row(v)
 			for q := 0; q < np; q++ {
 				e := &row[q]
-				// prune on the (possibly stale, hence lower-bound) score
+				// prune on the lower bound first: it holds for stale entries
 				if st.frontier.boundStart(e)+blw[v] >= bestSpan {
 					continue
 				}
@@ -130,10 +130,13 @@ func ExhaustiveTuned(g *graph.Graph, pl *platform.Platform, model sched.Model, n
 						plc = st.frontier.refresh(v, q, preds)
 						haveComms = true
 					}
-					// re-check the bound against the now-exact score
-					if e.start+blw[v] >= bestSpan {
-						continue
-					}
+				}
+				// the entry is exact now (the batch sweep refreshed every
+				// pair whose bound could still pass, and bestSpan only
+				// shrinks): re-check against the exact start, which a bound
+				// below it must not stand in for
+				if e.start+blw[v] >= bestSpan {
+					continue
 				}
 				// the pair would expand: only now may the budget cut it off,
 				// and doing so means the search did not run to completion —

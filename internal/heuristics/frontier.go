@@ -1,7 +1,10 @@
 package heuristics
 
 import (
+	"cmp"
+	"math"
 	"math/bits"
+	"slices"
 	"sync"
 
 	"oneport/internal/sched"
@@ -10,15 +13,16 @@ import (
 // This file implements the frontier-probe engine: an incremental, cached and
 // parallel evaluator of the (ready task × processor) probe matrix that the
 // whole-frontier heuristics scan at every scheduling step. DLS maximizes a
-// dynamic level over all pairs, the Exhaustive branch-and-bound expands
-// every pair, and BIL's level scan minimizes finish time over one task's
-// row; before the engine each of them re-probed every pair from scratch at
-// every step, an O(ready·procs) rescan per commit even though one commit
-// only perturbs one processor's compute timeline, the ports/wires on the
-// committed communication paths, and the placed task's successors.
+// dynamic level over all pairs and the Exhaustive branch-and-bound expands
+// every pair; before the engine each of them re-probed every pair from
+// scratch at every step, an O(ready·procs) rescan per commit even though
+// one commit only perturbs one processor's compute timeline, the
+// ports/wires on the committed communication paths, and the placed task's
+// successors.
 //
-// The engine caches each pair's probe *scores* (start and finish time) and
-// invalidates them with fine granularity:
+// The engine caches each pair's probe *scores* (ready and start time, and a
+// lower bound on every later start) and invalidates them with fine
+// granularity:
 //
 //   - a per-processor compute-timeline stamp and a per-processor port stamp
 //     (ports and incident wires), bumped for exactly the processors whose
@@ -83,16 +87,20 @@ type frontier struct {
 }
 
 // frontierEntry caches the scores of one (task, processor) probe. Scores are
-// enough for every reduction the heuristics need (dynamic level, earliest
-// finish, branch-and-bound pruning); only a winning pair's communication
-// placement is materialized, by re-running that single probe. ready is the
-// communication-determined earliest start, so an entry stale only in its
-// compute timeline is refreshed by a single gap search instead of a probe.
-// The read-set masks live in the engine's readsC/readsP arenas.
+// enough for every reduction the heuristics need (dynamic level and
+// branch-and-bound pruning; a finish is start plus the task's execution
+// time); only a winning pair's communication placement is materialized, by
+// re-running that single probe. ready is the communication-determined
+// earliest start, so an entry stale only in its compute timeline is
+// refreshed by a single gap search instead of a probe. bound lower-bounds
+// the start of every later probe of the pair (see startBound), which is
+// what lets a scan dispose of a stale pair without probing it. The read-set
+// masks live in the engine's readsC/readsP arenas.
 type frontierEntry struct {
-	asOf          uint64 // clock the probe ran at; < epoch = never probed this run
-	ready         float64
-	start, finish float64
+	asOf  uint64 // clock the probe ran at; < epoch = never probed this run
+	ready float64
+	start float64
+	bound float64
 }
 
 // frontierScan is the reusable scratch of one engine scan, shared by every
@@ -100,10 +108,9 @@ type frontierEntry struct {
 type frontierScan struct {
 	pairs     []probePair
 	predArena []predInfo
+	stale     []probePair // DLS: the staleFull pairs its bound pass visits
 	jobs      []frontierJob
-	best      []sched.CommEvent // stash for bestInRow's running best
-	free      []*frontier       // recycled per-branch clones (Exhaustive)
-	one       [1]int
+	free      []*frontier // recycled per-branch clones (Exhaustive)
 	wg        sync.WaitGroup
 }
 
@@ -114,15 +121,15 @@ type probePair struct {
 	off, n int32
 }
 
-// frontierJob is one worker's share of a parallel ensure, dispatched to the
-// shared probe pool.
+// frontierJob is one worker's share of a parallel ensure — the contiguous
+// pair slice [lo, hi) — dispatched to the shared probe pool.
 type frontierJob struct {
-	f     *frontier
-	wi, w int
+	f          *frontier
+	wi, lo, hi int
 }
 
 func (j *frontierJob) run() {
-	j.f.probeSlice(j.wi, j.w)
+	j.f.probeSlice(j.wi, j.lo, j.hi)
 	j.f.scan.wg.Done()
 }
 
@@ -317,32 +324,37 @@ func (f *frontier) valid(v, p int) bool {
 	return f.staleKind(v, p, &f.entries[v*f.np+p]) == staleNone
 }
 
-// boundStart returns a sound lower bound on the true start of the pair
-// backing e: the cached start when e was probed in this run (committed
-// reservations only grow the timelines, so stale starts lower-bound true
-// starts), else 0 — an entry from before the epoch scored a different run
-// and bounds nothing, and 0 lower-bounds every start. Every monotone-bound
-// consumer (the DLS bound pass, the Exhaustive prune, bestInRow's skip)
-// must read stale scores through these helpers, never e.start directly.
+// boundStart returns a sound lower bound on the start a fresh probe of the
+// pair backing e would return: the bound recorded when e was probed in this
+// run (startBound), else 0 — an entry from before the epoch scored a
+// different run and bounds nothing, and 0 lower-bounds every start. It is
+// not the cached start: a stale start is no bound at all (see startBound).
+// Pruning consumers (the DLS bound pass, the Exhaustive prune) must read
+// stale entries through these helpers, and a pair that survives the bound
+// is judged on its exact, refreshed start.
 func (f *frontier) boundStart(e *frontierEntry) float64 {
 	if e.asOf >= f.epoch {
-		return e.start
+		return e.bound
 	}
 	return 0
 }
 
-// boundFinish is boundStart for the finish score.
-func (f *frontier) boundFinish(e *frontierEntry) float64 {
-	if e.asOf >= f.epoch {
-		return e.finish
-	}
-	return 0
+// boundFinish is boundStart for the finish of task v.
+func (f *frontier) boundFinish(v, p int, e *frontierEntry) float64 {
+	return f.boundStart(e) + f.s.pl.ExecTime(f.s.g.Weight(v), p)
 }
 
 // fastRefresh restores a staleCompute entry: the communication layout (and
 // with it the ready time and the read sets) is untouched, so only the final
 // compute-gap search reruns against the candidate's current timeline —
 // exactly the tail of probeWith, at a fraction of a probe's cost.
+//
+// The bound follows the start when the two were equal: bound = start means
+// no compute gap opens between the ready bound and ready, and a timeline
+// that only gains intervals never opens one, so the refreshed start is as
+// sound a bound as the old one and tighter. A bound below the start (an
+// entry whose messages pushed each other) keeps its recorded value, which
+// stays sound because timelines only grow.
 func (f *frontier) fastRefresh(v, p int, e *frontierEntry) {
 	s := f.s
 	after := e.ready
@@ -351,9 +363,11 @@ func (f *frontier) fastRefresh(v, p int, e *frontierEntry) {
 			after = le
 		}
 	}
-	dur := s.pl.ExecTime(s.g.Weight(v), p)
-	start := s.compute[p].EarliestGap(after, dur)
-	e.start, e.finish = start, start+dur
+	start := s.compute[p].EarliestGap(after, s.pl.ExecTime(s.g.Weight(v), p))
+	if e.bound == e.start {
+		e.bound = start
+	}
+	e.start = start
 	e.asOf = f.clock
 }
 
@@ -395,66 +409,180 @@ func (f *frontier) ensureFiltered(tasks []int, keep func(v, p int, e *frontierEn
 			work += int(n) + 1
 		}
 	}
-	if len(sc.pairs) == 0 {
+	n := len(sc.pairs)
+	if n == 0 {
 		return
 	}
 	w := s.par
-	if w > len(sc.pairs) {
-		w = len(sc.pairs)
+	if w > n {
+		w = n
 	}
 	if w <= 1 || work < probeParallelGrain {
 		s.buf(0)
-		f.probeSlice(0, 1)
+		f.probeSlice(0, 0, n)
 		return
 	}
 	s.buf(w - 1) // materialize every worker buf before the fan-out
 	for len(sc.jobs) < w {
 		sc.jobs = append(sc.jobs, frontierJob{})
 	}
-	jobs := poolJobs()
-	sc.wg.Add(w - 1)
-	for wi := 1; wi < w; wi++ {
-		sc.jobs[wi] = frontierJob{f: f, wi: wi, w: w}
-		jobs <- &sc.jobs[wi]
+	// contiguous slices of about equal probe work: worker wi takes the pairs
+	// whose running work total starts in [wi·work/w, (wi+1)·work/w), so
+	// a row's pairs — same task, same preds — mostly stay on one worker
+	lo, acc, nj := 0, 0, 0
+	for k := 0; k < n; k++ {
+		acc += int(sc.pairs[k].n) + 1
+		if nj < w-1 && acc*w >= (nj+1)*work {
+			sc.jobs[nj] = frontierJob{f: f, wi: nj, lo: lo, hi: k + 1}
+			lo = k + 1
+			nj++
+		}
 	}
-	f.probeSlice(0, w)
+	if lo < n {
+		sc.jobs[nj] = frontierJob{f: f, wi: nj, lo: lo, hi: n}
+		nj++
+	}
+	jobs := poolJobs()
+	sc.wg.Add(nj - 1)
+	for j := 1; j < nj; j++ {
+		jobs <- &sc.jobs[j]
+	}
+	f.probeSlice(0, sc.jobs[0].lo, sc.jobs[0].hi)
 	sc.wg.Wait()
 	s.refault()
 }
 
-// probeSlice re-probes pairs wi, wi+w, wi+2w, … with worker wi's probeBuf,
-// recording scores and read sets into the pairs' (disjoint) entries. During
-// a fan-out everything it reads — committed timelines, pairs, the pred
-// arena, routes — is frozen, so slices race with nothing.
-func (f *frontier) probeSlice(wi, w int) {
+// probeSlice re-probes pairs [lo, hi) with worker wi's probeBuf, recording
+// scores and read sets into the pairs' (disjoint) entries. During a fan-out
+// everything it reads — committed timelines, pairs, the pred arena, routes
+// — is frozen, so slices race with nothing.
+func (f *frontier) probeSlice(wi, lo, hi int) {
 	s := f.s
 	b := s.bufs[wi]
-	for k := wi; k < len(f.scan.pairs); k += w {
+	for k := lo; k < hi; k++ {
 		pr := &f.scan.pairs[k]
 		preds := f.scan.predArena[pr.off : pr.off+pr.n]
 		pl := s.probeWith(b, int(pr.v), int(pr.p), preds)
-		f.record(int(pr.v), int(pr.p), preds, pl)
+		f.record(b, int(pr.v), int(pr.p), preds, pl)
 	}
 }
 
-// record refreshes the entry of pair (v, p) from a just-run probe.
-func (f *frontier) record(v, p int, preds []predInfo, pl placement) {
+// record refreshes the entry of pair (v, p) from a probe just run with b.
+func (f *frontier) record(b *probeBuf, v, p int, preds []predInfo, pl placement) {
 	idx := v*f.np + p
 	e := &f.entries[idx]
 	e.ready = pl.ready
-	e.start, e.finish = pl.start, pl.finish
+	e.start = pl.start
+	e.bound = f.startBound(b, v, p, preds, pl)
 	f.recordReads(idx*f.maskW, p, preds)
 	e.asOf = f.clock
+}
+
+// lastHop is the release and duration of one message's last hop into the
+// probed processor, a job of the port schedule startBound bounds.
+type lastHop struct{ release, dur float64 }
+
+// startBound returns a lower bound on the start of every later probe of
+// (v, p), given the probe pl just run with buf b.
+//
+// A stale start is no such bound. Messages queue on ports in pred order, so
+// a commit that delays a probe's first message can free the port for its
+// second: with a committed reception busy over [10, 100), a first message
+// taking [0, 2) pushes a 9-long second one released at 1 past the busy
+// stretch to [100, 109); once a commit blocks the first message's sender
+// until 9.5, the first lands at [100, 102) and the second fits at [1, 10),
+// so the ready time falls from 109 to 102 (TestFrontierBoundAnomaly).
+//
+// The bound rests on each message alone instead: where the message would
+// sit alone on the committed timelines only moves later as commits add
+// intervals (a gap search never returns earlier on a superset of busy
+// intervals or from a later release), and no later probe, with the other
+// messages in the way, places it earlier than that. The probe records a
+// lower bound on each last hop's alone start (probeBuf.alone): the hop's
+// own start when no earlier message of the probe pushed the message, else
+// the window an overlay first pushed it from (sched.EarliestGapMoved). Every
+// last hop into p uses p's receive port (its single port under uni-port),
+// so the messages' ready time is at least the earliest-release-first
+// (Jackson) schedule of those last hops on one port; under link contention
+// the last hops may use different wires, so only the latest alone arrival
+// counts. The compute-gap search from that ready bound on the committed
+// timeline is then the start bound; when nothing was pushed — the common
+// case — it is the probe's own start.
+func (f *frontier) startBound(b *probeBuf, v, p int, preds []predInfo, pl placement) float64 {
+	if !b.anyMoved {
+		return pl.start
+	}
+	s := f.s
+	ready := 0.0
+	for i := range preds {
+		if preds[i].proc == p && preds[i].finish > ready {
+			ready = preds[i].finish
+		}
+	}
+	hops := b.lastHops[:0]
+	for i := range pl.comms {
+		c := &pl.comms[i]
+		last := &c.Hops[len(c.Hops)-1]
+		h := lastHop{release: b.alone[i], dur: s.pl.CommTime(c.Data, last.FromProc, last.ToProc)}
+		ready = max(ready, h.release+h.dur)
+		if h.dur > 0 { // an empty hop occupies no port time
+			hops = append(hops, h)
+		}
+	}
+	b.lastHops = hops
+	if s.model != sched.LinkContention && len(hops) > 1 {
+		slices.SortFunc(hops, func(x, y lastHop) int { return cmp.Compare(x.release, y.release) })
+		t := 0.0
+		for _, h := range hops {
+			t = max(t, h.release) + h.dur
+		}
+		// a probe sums the same durations in another order; when that can
+		// round differently, shave a relative 1e-9 off before trusting it
+		if t > ready && !exactSums(hops) {
+			t -= t * 1e-9
+		}
+		ready = max(ready, t)
+	}
+	if ready == pl.ready {
+		// the probe's own start: nothing of its messages' compute overlay
+		// (no-overlap) reaches past their arrivals, so the committed
+		// timeline alone places the task there too
+		return pl.start
+	}
+	if s.appendOnly {
+		ready = max(ready, s.compute[p].LastEnd())
+	}
+	return s.compute[p].EarliestGap(ready, s.pl.ExecTime(s.g.Weight(v), p))
+}
+
+// exactSums reports whether every partial sum of the hops' releases and
+// durations, added in any order, is exact in float64: all of them are
+// multiples of 2^-10 and the largest release plus every duration stays
+// below 2^43. The Jackson chain of startBound then equals its real-number
+// value, which no port schedule in any order undercuts; the paper's
+// platforms and testbeds, with integral and halved costs, always pass.
+func exactSums(hops []lastHop) bool {
+	maxRel, total := 0.0, 0.0
+	for _, h := range hops {
+		r, d := h.release*1024, h.dur*1024 // exact: scaling by a power of two
+		if r != math.Trunc(r) || d != math.Trunc(d) {
+			return false
+		}
+		maxRel = max(maxRel, h.release)
+		total += h.dur
+	}
+	return maxRel+total < 1<<43
 }
 
 // refresh probes pair (v, p) with the sequential buf, records its entry and
 // returns the full placement (comms in probe scratch: commit or copy it
 // before the next probe on this state). It is the lazy, one-pair analogue
-// of ensure used by the branch-and-bound, which can often prune a pair on
-// cached scores without ever probing it.
+// of ensure used by the DLS bound pass and the branch-and-bound, which can
+// often dispose of a pair on its bound without ever probing it.
 func (f *frontier) refresh(v, p int, preds []predInfo) placement {
-	pl := f.s.probeWith(f.s.buf(0), v, p, preds)
-	f.record(v, p, preds, pl)
+	b := f.s.buf(0)
+	pl := f.s.probeWith(b, v, p, preds)
+	f.record(b, v, p, preds, pl)
 	return pl
 }
 
@@ -507,65 +635,4 @@ func (f *frontier) row(v int) []frontierEntry {
 func (f *frontier) placementFor(v, p int) placement {
 	s := f.s
 	return s.probeWith(s.buf(0), v, p, s.preds(v))
-}
-
-// bestInRow returns the earliest-finish placement of task v over every
-// processor, ties to the lowest processor index — the frontier-engine
-// equivalent of bestEFT(v, nil).
-//
-// With a sequential budget it walks the row directly: cached entries are
-// served, invalid ones probed exactly once, and the running best placement
-// is stashed as it goes (like bestEFT), so a fresh row costs not a single
-// probe more than the pre-engine scan. With a parallel budget it ensures
-// the row through the pool and materializes the winner.
-func (f *frontier) bestInRow(v int) placement {
-	if f.s.par > 1 {
-		f.scan.one[0] = v
-		f.ensure(f.scan.one[:])
-		row := f.row(v)
-		best := 0
-		for p := 1; p < len(row); p++ {
-			if row[p].finish < row[best].finish {
-				best = p
-			}
-		}
-		return f.placementFor(v, best)
-	}
-	s := f.s
-	b := s.buf(0)
-	preds := s.preds(v)
-	row := f.row(v)
-	best, cached := -1, false
-	var bestPl placement
-	for p := 0; p < f.np; p++ {
-		e := &row[p]
-		switch f.staleKind(v, p, e) {
-		case staleNone:
-		case staleCompute:
-			f.fastRefresh(v, p, e)
-		default:
-			// monotone-bound stale-skip: committed reservations only ever
-			// grow the timelines, so a stale cached finish lower-bounds the
-			// true finish. A stale pair whose bound cannot strictly beat the
-			// incumbent (ties go to the lower index, which the incumbent
-			// holds) can never win the row and is skipped probe-free.
-			if best >= 0 && f.boundFinish(e) >= row[best].finish {
-				continue
-			}
-			pl := s.probeWith(b, v, p, preds)
-			f.record(v, p, preds, pl)
-			if best < 0 || e.finish < row[best].finish {
-				best, cached = p, false
-				bestPl = stashPlacement(&f.scan.best, pl)
-			}
-			continue
-		}
-		if best < 0 || e.finish < row[best].finish {
-			best, cached = p, true
-		}
-	}
-	if cached {
-		return f.placementFor(v, best)
-	}
-	return bestPl
 }

@@ -14,7 +14,7 @@ import (
 // pre-engine loops from reference_test.go, so the engine's win — cached
 // pairs plus parallel re-probing — stays measurable in one binary:
 //
-//	go test -bench 'DLS|BIL|Exhaustive' -benchtime 2x ./internal/heuristics
+//	go test -bench 'DLS|Exhaustive' -benchtime 2x ./internal/heuristics
 func benchGraphs() map[string]*graph.Graph {
 	return map[string]*graph.Graph{
 		"lu60":        testbeds.LU(60, 10),        // fig8 scale
@@ -47,28 +47,6 @@ func BenchmarkDLSReference(b *testing.B) {
 				}
 			}
 		})
-	}
-}
-
-func BenchmarkBIL(b *testing.B) {
-	pl := platform.Paper()
-	g := testbeds.LU(60, 10)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := BIL(g, pl, sched.OnePort); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkBILReference(b *testing.B) {
-	pl := platform.Paper()
-	g := testbeds.LU(60, 10)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := bilReference(g, pl, sched.OnePort); err != nil {
-			b.Fatal(err)
-		}
 	}
 }
 
@@ -122,7 +100,7 @@ func BenchmarkFrontierScanCached(b *testing.B) {
 	}
 	for rel.placed < g.NumNodes()/2 {
 		v := ready.pop()
-		s.commit(v, f.bestInRow(v))
+		s.commit(v, s.bestEFT(v, nil))
 		for _, nv := range rel.release(v) {
 			ready.push(nv)
 		}

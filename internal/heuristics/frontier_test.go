@@ -53,33 +53,64 @@ func frontierCases() []struct {
 // every communication model, on dense and routed platforms, sequential and
 // parallel. Run under -race this also exercises the fan-out's data-sharing
 // argument.
+//
+// The one-port and uni-port cases below are where a scan that pruned on
+// stale starts missed the argmax at parallelism 1: under one-port rules a
+// commit can lower a pair's start (see frontier.startBound), so only a
+// sound bound keeps every parallelism on the reference schedule.
 func TestDLSFrontierDeterminism(t *testing.T) {
 	oldGrain := probeParallelGrain
 	probeParallelGrain = 2 // force the parallel path onto nearly every step
 	defer func() { probeParallelGrain = oldGrain }()
 
+	check := func(t *testing.T, g *graph.Graph, pl *platform.Platform, model sched.Model) {
+		t.Helper()
+		ref, err := dlsReference(g, pl, model)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, par := range []int{1, 2, 8} {
+			got, err := dlsRun(g, pl, model, &Tuning{ProbeParallelism: par})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := sameSchedule(ref, got); err != nil {
+				t.Fatalf("par %d: %v", par, err)
+			}
+		}
+	}
 	for _, c := range frontierCases() {
 		for _, model := range sched.Models() {
 			t.Run(fmt.Sprintf("%s/%s", c.name, model), func(t *testing.T) {
-				ref, err := dlsReference(c.g, c.pl, model)
-				if err != nil {
-					t.Fatal(err)
-				}
-				for _, par := range []int{1, 8} {
-					got, err := dlsRun(c.g, c.pl, model, &Tuning{ProbeParallelism: par})
-					if err != nil {
-						t.Fatal(err)
-					}
-					if err := sameSchedule(ref, got); err != nil {
-						t.Fatalf("par %d: %v", par, err)
-					}
-				}
+				check(t, c.g, c.pl, model)
+			})
+		}
+	}
+	diverged := []struct {
+		name string
+		g    *graph.Graph
+	}{
+		{"lu40", testbeds.LU(40, 10)},
+		{"stencil30", testbeds.Stencil(30, 10)},
+		{"stencil40", testbeds.Stencil(40, 10)},
+	}
+	for seed := int64(1); seed <= 20; seed++ {
+		diverged = append(diverged, struct {
+			name string
+			g    *graph.Graph
+		}{fmt.Sprintf("random%d", seed), testbeds.RandomLayered(seed, 15, 12, 10, 10)})
+	}
+	for _, c := range diverged {
+		for _, model := range []sched.Model{sched.OnePort, sched.UniPort} {
+			t.Run(fmt.Sprintf("%s-paper/%s", c.name, model), func(t *testing.T) {
+				check(t, c.g, platform.Paper(), model)
 			})
 		}
 	}
 }
 
-// TestBILFrontierDeterminism is the same pin for BIL's level scan.
+// TestBILFrontierDeterminism is the same pin for BIL's level scan, which
+// runs on bestEFT: its rows are always fresh, so it has no engine.
 func TestBILFrontierDeterminism(t *testing.T) {
 	oldGrain := probeParallelGrain
 	probeParallelGrain = 2
@@ -107,9 +138,7 @@ func TestBILFrontierDeterminism(t *testing.T) {
 }
 
 // TestCPOPFrontierDeterminism is the same pin for CPOP, whose off-path
-// processor scan now runs on the engine with the monotone-bound stale-skip
-// (a stale cached finish lower-bounds the true finish, so a pair that
-// cannot beat the incumbent is disposed of probe-free).
+// processor scan runs on bestEFT like BIL's.
 func TestCPOPFrontierDeterminism(t *testing.T) {
 	oldGrain := probeParallelGrain
 	probeParallelGrain = 2
@@ -238,9 +267,10 @@ func TestFrontierNeverServesStale(t *testing.T) {
 						row := f.row(v)
 						for p := 0; p < np; p++ {
 							fresh := s.probeWith(check, v, p, preds)
-							if row[p].start != fresh.start || row[p].finish != fresh.finish {
+							finish := row[p].start + pl.ExecTime(g.Weight(v), p)
+							if row[p].start != fresh.start || finish != fresh.finish {
 								t.Fatalf("stale cache for task %d proc %d: cached (%g,%g), fresh (%g,%g)",
-									v, p, row[p].start, row[p].finish, fresh.start, fresh.finish)
+									v, p, row[p].start, finish, fresh.start, fresh.finish)
 							}
 						}
 					}
@@ -262,6 +292,187 @@ func TestFrontierNeverServesStale(t *testing.T) {
 			})
 		}
 	}
+}
+
+// TestFrontierBoundSound is the soundness property of the engine's pruning
+// bound: along randomized commit walks — random tasks committed to random
+// processors, so messages queue on ports in every order — every entry
+// probed in this run must keep boundStart and boundFinish at or below what
+// a fresh probe returns after every later commit, whether the entry is
+// stale or not, and a valid entry must carry the fresh start exactly. The
+// walks refresh random rows only now and then, so entries go stale across
+// many commits and through compute-only refreshes.
+func TestFrontierBoundSound(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	cycles16 := make([]float64, 16)
+	link16 := make([][]float64, 16)
+	for q := range cycles16 {
+		cycles16[q] = []float64{3, 5, 6, 10, 15}[rng.Intn(5)]
+		link16[q] = make([]float64, 16)
+	}
+	for q := 0; q < 16; q++ {
+		for r := q + 1; r < 16; r++ {
+			// a 0.3 link keeps the durations off the binary grid, so the
+			// bound's rounding guard (exactSums) is exercised too
+			c := []float64{0.5, 1, 2, 0.3}[rng.Intn(4)]
+			link16[q][r], link16[r][q] = c, c
+		}
+	}
+	hetero16, err := platform.New(cycles16, link16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cycles70 := make([]float64, 70)
+	for q := range cycles70 {
+		cycles70[q] = []float64{6, 10, 15}[q%3]
+	}
+	wide70, err := platform.Uniform(cycles70, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	platforms := []struct {
+		name string
+		pl   *platform.Platform
+	}{
+		{"paper", platform.Paper()},
+		{"hetero16", hetero16},
+		{"line4", linePlatform(4)},
+		{"wide70", wide70},
+	}
+	checks, loose := 0, 0
+	for _, c := range platforms {
+		for _, model := range sched.Models() {
+			for seed := int64(1); seed <= 3; seed++ {
+				t.Run(fmt.Sprintf("%s/%s/seed%d", c.name, model, seed), func(t *testing.T) {
+					g := testbeds.RandomLayered(seed, 8, 8, 10, 10)
+					n, l := boundWalk(t, g, c.pl, model, rand.New(rand.NewSource(seed)))
+					checks += n
+					loose += l
+				})
+			}
+		}
+	}
+	t.Logf("%d bound checks, %d with a bound strictly below the fresh start", checks, loose)
+}
+
+// TestFrontierBoundAnomaly pins the two-message counter-example of
+// frontier.startBound (and DESIGN.md): a commit that delays a probe's first
+// message frees the receive port for its second, and the pair's start
+// falls from 109 to 102. The stale start overstates the fresh one; the
+// recorded bound must not.
+func TestFrontierBoundAnomaly(t *testing.T) {
+	g := graph.New(7)
+	a := g.AddNode(0, "a")  // P0, done at 0: first message, 2 long
+	b := g.AddNode(1, "b")  // P1, done at 1: second message, 9 long
+	c := g.AddNode(10, "c") // P3, done at 10
+	d := g.AddNode(0, "d")  // P2: c's 90-long message busies P2's reception over [10, 100)
+	f := g.AddNode(0, "f")  // P3: a's 9.5-long message blocks P0's send port until 9.5
+	v := g.AddNode(1, "v")  // probed on P2
+	g.MustEdge(a, v, 2)
+	g.MustEdge(b, v, 9)
+	g.MustEdge(c, d, 90)
+	g.MustEdge(a, f, 9.5)
+	pl, err := platform.Homogeneous(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := newState(g, pl, sched.OnePort, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fr := attachFrontier(s)
+	for _, x := range []struct{ task, proc int }{{a, 0}, {b, 1}, {c, 3}, {d, 2}} {
+		s.commit(x.task, s.probe(x.task, x.proc, s.preds(x.task)))
+	}
+	fr.ensure([]int{v})
+	e := &fr.row(v)[2]
+	if e.start != 109 {
+		t.Fatalf("start before the commit = %g, want 109", e.start)
+	}
+	s.commit(f, s.probe(f, 3, s.preds(f)))
+	fresh := s.probe(v, 2, s.preds(v))
+	if fresh.start != 102 {
+		t.Fatalf("fresh start after the commit = %g, want 102", fresh.start)
+	}
+	if fr.valid(v, 2) {
+		t.Fatal("the commit reserved P0's send port, which (v, P2) read")
+	}
+	if bs := fr.boundStart(e); bs > fresh.start {
+		t.Fatalf("boundStart %g above the fresh start %g", bs, fresh.start)
+	}
+}
+
+// TestExactSums pins the rounding guard of the Jackson bound: integral and
+// halved costs sum exactly in any order, 0.1-style costs and sums past
+// 2^43 do not.
+func TestExactSums(t *testing.T) {
+	cases := []struct {
+		hops []lastHop
+		want bool
+	}{
+		{[]lastHop{{0, 10}, {5, 20}, {7.5, 0.5}}, true},
+		{[]lastHop{{0, 0.1}, {0, 0.2}, {0, 0.3}}, false},
+		{[]lastHop{{1 << 42, 1 << 41}, {0, 1 << 41}}, false},
+		{nil, true},
+	}
+	for _, c := range cases {
+		if got := exactSums(c.hops); got != c.want {
+			t.Errorf("exactSums(%v) = %v, want %v", c.hops, got, c.want)
+		}
+	}
+}
+
+// boundWalk runs one randomized commit walk for TestFrontierBoundSound and
+// returns how many entries it checked and how many of their bounds were
+// strictly below the fresh start.
+func boundWalk(t *testing.T, g *graph.Graph, pl *platform.Platform, model sched.Model, rng *rand.Rand) (checks, loose int) {
+	t.Helper()
+	s, err := newState(g, pl, model, &Tuning{ProbeParallelism: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := attachFrontier(s)
+	check := newProbeBuf(pl.NumProcs())
+	rel := newReleaser(g)
+	var ready []int
+	ready = append(ready, rel.initial()...)
+	np := pl.NumProcs()
+	for len(ready) > 0 {
+		// refresh a random row now and then, so the other rows age
+		if rng.Intn(3) == 0 {
+			f.ensure(ready[rng.Intn(len(ready)):][:1])
+		}
+		for _, v := range ready {
+			preds := s.preds(v)
+			row := f.row(v)
+			for p := 0; p < np; p++ {
+				e := &row[p]
+				if e.asOf < f.epoch {
+					continue // never probed this run
+				}
+				fresh := s.probeWith(check, v, p, preds)
+				checks++
+				if bs := f.boundStart(e); bs > fresh.start {
+					t.Fatalf("task %d proc %d: boundStart %g above the fresh start %g", v, p, bs, fresh.start)
+				} else if bs < fresh.start {
+					loose++
+				}
+				if bf := f.boundFinish(v, p, e); bf > fresh.finish {
+					t.Fatalf("task %d proc %d: boundFinish %g above the fresh finish %g", v, p, bf, fresh.finish)
+				}
+				if f.valid(v, p) && e.start != fresh.start {
+					t.Fatalf("task %d proc %d: valid entry start %g, fresh %g", v, p, e.start, fresh.start)
+				}
+			}
+		}
+		// commit a random ready task on a random processor
+		i := rng.Intn(len(ready))
+		v := ready[i]
+		ready = append(ready[:i], ready[i+1:]...)
+		s.commit(v, f.placementFor(v, rng.Intn(np)))
+		ready = append(ready, rel.release(v)...)
+	}
+	return checks, loose
 }
 
 // TestFrontierSharedPathInvalidation is the hand-built multi-hop case: two
@@ -310,9 +521,9 @@ func TestFrontierSharedPathInvalidation(t *testing.T) {
 	f.ensure([]int{u})
 	check := newProbeBuf(pl.NumProcs())
 	fresh := s.probeWith(check, u, 3, s.preds(u))
-	if got := f.row(u)[3]; got.start != fresh.start || got.finish != fresh.finish {
-		t.Fatalf("revalidated entry (%g,%g) differs from fresh probe (%g,%g)",
-			got.start, got.finish, fresh.start, fresh.finish)
+	if got := f.row(u)[3]; got.start != fresh.start || got.ready != fresh.ready {
+		t.Fatalf("revalidated entry (start %g, ready %g) differs from fresh probe (%g, %g)",
+			got.start, got.ready, fresh.start, fresh.ready)
 	}
 }
 
@@ -382,28 +593,5 @@ func TestFrontierScratchReuse(t *testing.T) {
 		if err := sameSchedule(wantEx, gotEx); err != nil {
 			t.Fatalf("rep %d Exhaustive: %v", rep, err)
 		}
-	}
-}
-
-// TestSetProbeParallelismDelegates pins the deprecation contract: the global
-// knob only feeds the default Tuning, and any per-run setting wins over it.
-func TestSetProbeParallelismDelegates(t *testing.T) {
-	old := SetProbeParallelism(3)
-	defer SetProbeParallelism(old)
-
-	if got := (*Tuning)(nil).par(); got != 3 {
-		t.Fatalf("nil Tuning par = %d, want the delegated default 3", got)
-	}
-	if got := (&Tuning{}).par(); got != 3 {
-		t.Fatalf("zero Tuning par = %d, want the delegated default 3", got)
-	}
-	if got := (&Tuning{ProbeParallelism: 5}).par(); got != 5 {
-		t.Fatalf("per-run par = %d, want 5 (global must not override)", got)
-	}
-	if prev := SetProbeParallelism(0); prev != 3 {
-		t.Fatalf("previous value = %d, want 3", prev)
-	}
-	if got := (*Tuning)(nil).par(); got != 1 {
-		t.Fatalf("par after clamped set = %d, want 1", got)
 	}
 }

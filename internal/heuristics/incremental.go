@@ -133,12 +133,6 @@ func RunIncremental(name string, g *graph.Graph, pl *platform.Platform, model sc
 	}
 	keep := validPrefix(order, prev, pl.NumProcs(), dirty)
 
-	var f *frontier
-	if name == "bil" {
-		// attached before replay, exactly where bilRun attaches it: replay
-		// commits stamp the engine the same way real commits do
-		f = attachFrontier(s)
-	}
 	// replay: the previous run's comm events are recorded in commit order,
 	// each commit's events grouped consecutively under ToTask = the
 	// committed task, so the prefix consumes a prefix of prev Comms with a
@@ -163,11 +157,7 @@ func RunIncremental(name string, g *graph.Graph, pl *platform.Platform, model sc
 	// suffix: the heuristic's own probe loop; the simulated order already is
 	// the exact pop sequence, so no ready list is needed
 	for _, v := range order[keep:] {
-		if f != nil {
-			s.commit(v, f.bestInRow(v))
-		} else {
-			s.commit(v, s.bestEFT(v, nil))
-		}
+		s.commit(v, s.bestEFT(v, nil))
 	}
 	return &IncResult{Schedule: s.sch, Order: order, Replayed: keep}, nil
 }

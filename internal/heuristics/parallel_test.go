@@ -36,13 +36,11 @@ func TestParallelBestEFTDeterminism(t *testing.T) {
 		for _, model := range sched.Models() {
 			t.Run(fmt.Sprintf("%s/%s", name, model), func(t *testing.T) {
 
-				old := SetProbeParallelism(1)
-				seqH, errH := HEFT(g, pl, model)
-				seqI, errI := ILHA(g, pl, model, ILHAOptions{B: 7})
-				SetProbeParallelism(8)
-				parH, errPH := HEFT(g, pl, model)
-				parI, errPI := ILHA(g, pl, model, ILHAOptions{B: 7})
-				SetProbeParallelism(old)
+				seq, par := &Tuning{ProbeParallelism: 1}, &Tuning{ProbeParallelism: 8}
+				seqH, errH := heftRun(g, pl, model, false, seq)
+				seqI, errI := ilhaRun(g, pl, model, ILHAOptions{B: 7}, seq)
+				parH, errPH := heftRun(g, pl, model, false, par)
+				parI, errPI := ilhaRun(g, pl, model, ILHAOptions{B: 7}, par)
 
 				for _, err := range []error{errH, errI, errPH, errPI} {
 					if err != nil {

@@ -1,8 +1,10 @@
 package heuristics
 
 import (
+	"fmt"
 	"testing"
 
+	"oneport/internal/graph"
 	"oneport/internal/platform"
 	"oneport/internal/sched"
 	"oneport/internal/testbeds"
@@ -52,5 +54,64 @@ func BenchmarkProbeMicro(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		s.probeWith(buf, target, i%pl.NumProcs(), preds)
+	}
+}
+
+// BenchmarkProbeGrain is the sweep probeParallelGrain is set from: one pass
+// over a kernel-like mix — the six paper testbeds at half their figure
+// sizes under HEFT, ILHA, CPOP, DLS and BIL, one-port, on the paper
+// platform and a 32-processor one — at probe parallelism 2, once per grain
+// tried. The "never" case never fans out: the mix's parallelism-1 cost.
+//
+//	go test -run '^$' -bench ProbeGrain -count 5 ./internal/heuristics
+func BenchmarkProbeGrain(b *testing.B) {
+	cycles := make([]float64, 32)
+	for q := range cycles {
+		cycles[q] = []float64{3, 5, 6, 10, 15}[q%5]
+	}
+	wide, err := platform.Uniform(cycles, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	sizes := map[string]int{"forkjoin": 150, "lu": 30, "laplace": 20, "ldmt": 20, "doolittle": 30, "stencil": 20}
+	type run struct {
+		g  *graph.Graph
+		pl *platform.Platform
+		fn Func
+	}
+	var mix []run
+	for _, pl := range []*platform.Platform{platform.Paper(), wide} {
+		tune := &Tuning{ProbeParallelism: 2, Scratch: NewScratch()}
+		for _, tb := range []string{"forkjoin", "lu", "laplace", "ldmt", "doolittle", "stencil"} {
+			g, err := testbeds.ByName(tb, sizes[tb], 10)
+			if err != nil {
+				b.Fatal(err)
+			}
+			for _, h := range []string{"heft", "ilha", "cpop", "dls", "bil"} {
+				fn, err := ByNameTuned(h, ILHAOptions{}, tune)
+				if err != nil {
+					b.Fatal(err)
+				}
+				mix = append(mix, run{g, pl, fn})
+			}
+		}
+	}
+	old := probeParallelGrain
+	defer func() { probeParallelGrain = old }()
+	for _, grain := range []int{16, 32, 64, 128, 256, 512, 1024, 2048, 4096, 1 << 30} {
+		name := fmt.Sprint(grain)
+		if grain == 1<<30 {
+			name = "never"
+		}
+		b.Run(name, func(b *testing.B) {
+			probeParallelGrain = grain
+			for i := 0; i < b.N; i++ {
+				for _, r := range mix {
+					if _, err := r.fn(r.g, r.pl, sched.OnePort); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+		})
 	}
 }

@@ -23,12 +23,15 @@ import (
 	"oneport/internal/sched"
 )
 
-// probeParallelGrain is the minimum probe work — len(preds) × candidate
+// probeParallelGrain is the minimum probe work — (len(preds)+1) × candidate
 // count — below which bestEFT (and the frontier engine's ensure) stays on
 // the sequential path: for small batches the goroutine fan-out costs more
 // than the probes themselves. Probes are deterministic either way, so the
-// cut-over is invisible in the output.
-var probeParallelGrain = 64
+// cut-over is invisible in the output. The value comes from
+// BenchmarkProbeGrain on 2 vCPUs: grains up to 256 made a kernel-like mix
+// 15–50 % slower than never fanning out, and from 512 up it ran at par or
+// better, best at 2048 (DESIGN.md, "Parallel EFT probing").
+var probeParallelGrain = 2048
 
 // state carries the incremental resource timelines during list scheduling.
 type state struct {
@@ -64,7 +67,7 @@ type state struct {
 	predCount []int // per-proc counting scratch (ILHA Step 1)
 
 	// frontier, when non-nil, is the frontier-probe engine attached by the
-	// whole-frontier heuristics (DLS, Exhaustive, BIL); commit notifies it
+	// whole-frontier heuristics (DLS, Exhaustive); commit notifies it
 	// so cached probe entries are invalidated. fmem parks an engine lent by
 	// a Scratch until (unless) the run attaches it.
 	frontier *frontier
@@ -98,19 +101,20 @@ type poolJob interface {
 // dispatching goroutine can re-raise it after the fan-out barrier.
 type poolFault struct{ val any }
 
-// probeJob is one stripe of a parallel bestEFT, dispatched to a pool worker.
+// probeJob is one slice of a parallel bestEFT — candidate positions
+// [lo, hi) — dispatched to a pool worker.
 type probeJob struct {
 	s          *state
 	v          int
 	candidates []int
 	preds      []predInfo
-	n, w, wi   int
+	lo, hi, wi int
 	res        []workerBest
 	done       *sync.WaitGroup
 }
 
 func (j *probeJob) run() {
-	j.res[j.wi] = j.s.probeStripe(j.v, j.candidates, j.preds, j.n, j.w, j.wi)
+	j.res[j.wi] = j.s.probeSlice(j.v, j.candidates, j.preds, j.lo, j.hi, j.wi)
 	j.done.Done()
 }
 
@@ -122,14 +126,14 @@ func (j *probeJob) abort(fault any) {
 }
 
 // The probe worker pool is shared by every state in the process: workers are
-// stateless (each job carries the state, stripe and result slot it needs),
+// stateless (each job carries the state, slice and result slot it needs),
 // so one bounded set of goroutines serves any number of concurrent
 // schedulers without per-state spawn cost or lifecycle management. It is
 // started lazily by the first fan-out that crosses the parallel grain and
 // sized to the machine, not to any state's par setting — a state asking for
-// more stripes than there are workers just queues; the reductions are
+// more slices than there are workers just queues; the reductions are
 // positional, so worker count never affects the schedule. Both bestEFT's
-// candidate stripes and the frontier engine's pair slices run on it.
+// candidate slices and the frontier engine's pair slices run on it.
 var (
 	probePoolOnce sync.Once
 	probeJobs     chan poolJob
@@ -351,14 +355,18 @@ func (s *state) path(q, r int) []int {
 func (s *state) placeComm(b *probeBuf, u, v int, data float64, q, r int, ready float64) float64 {
 	ev := b.appendComm(u, v, data)
 	t := ready
+	// alone lower-bounds where the current hop would start on the committed
+	// timelines alone (exact until an overlay first pushes a hop), next the
+	// following hop's alone release; see probeBuf.alone
+	alone, next, pushed := ready, ready, false
 	procs := s.path(q, r)
 	for i := 0; i+1 < len(procs); i++ {
 		pa, pb := procs[i], procs[i+1]
 		dur := s.pl.CommTime(data, pa, pb)
-		var start float64
+		start, from := t, t // MacroDataflow: ports are unlimited
 		switch s.model {
 		case sched.OnePort:
-			start = sched.EarliestGap(t, dur,
+			start, from = sched.EarliestGapMoved(t, dur,
 				sched.View{Base: s.send[pa], Extra: b.send[pa], Cur: b.cur(b.sendCur, pa)},
 				sched.View{Base: s.recv[pb], Extra: b.recv[pb], Cur: b.cur(b.recvCur, pb)})
 			b.addSend(pa, start, start+dur)
@@ -366,14 +374,14 @@ func (s *state) placeComm(b *probeBuf, u, v int, data float64, q, r int, ready f
 		case sched.UniPort:
 			// a single half-duplex port per processor: every hop occupies
 			// the (combined) port of both endpoints, stored in send[].
-			start = sched.EarliestGap(t, dur,
+			start, from = sched.EarliestGapMoved(t, dur,
 				sched.View{Base: s.send[pa], Extra: b.send[pa], Cur: b.cur(b.sendCur, pa)},
 				sched.View{Base: s.send[pb], Extra: b.send[pb], Cur: b.cur(b.sendCur, pb)})
 			b.addSend(pa, start, start+dur)
 			b.addSend(pb, start, start+dur)
 		case sched.OnePortNoOverlap:
 			// one-port rules and the hop blocks computation on both ends
-			start = sched.EarliestGap(t, dur,
+			start, from = sched.EarliestGapMoved(t, dur,
 				sched.View{Base: s.send[pa], Extra: b.send[pa], Cur: b.cur(b.sendCur, pa)},
 				sched.View{Base: s.recv[pb], Extra: b.recv[pb], Cur: b.cur(b.recvCur, pb)},
 				sched.View{Base: s.compute[pa], Extra: b.compute[pa], Cur: b.cur(b.computeCur, pa)},
@@ -384,14 +392,22 @@ func (s *state) placeComm(b *probeBuf, u, v int, data float64, q, r int, ready f
 			b.addCompute(pb, start, start+dur)
 		case sched.LinkContention:
 			k := wireKey(pa, pb)
-			start = sched.EarliestGap(t, dur,
+			start, from = sched.EarliestGapMoved(t, dur,
 				sched.View{Base: s.wireBase(pa, pb), Extra: b.wireExtra(k)})
 			b.addWire(k, start, start+dur)
-		default: // MacroDataflow: ports are unlimited
-			start = t
 		}
+		if pushed {
+			alone = next
+		} else {
+			alone, pushed = from, from < start
+		}
+		next = alone + dur
 		ev.Hops = append(ev.Hops, sched.Hop{FromProc: pa, ToProc: pb, Start: start, Finish: start + dur})
 		t = start + dur
+	}
+	if s.frontier != nil {
+		b.alone = append(b.alone, alone)
+		b.anyMoved = b.anyMoved || pushed
 	}
 	return t
 }
@@ -612,11 +628,11 @@ func (s *state) bestEFT(v int, candidates []int) placement {
 }
 
 // bestEFTParallel fans the candidate probes of one task out to w workers.
-// Worker wi probes candidates wi, wi+w, wi+2w, … in ascending position order
-// and keeps its local best under the same strict earliest-finish comparison
-// as the sequential loop; the final reduction takes the minimum by (finish,
-// candidate position), which is exactly the placement the sequential loop
-// would have kept.
+// Worker wi probes the contiguous candidate positions [wi·n/w, (wi+1)·n/w)
+// in ascending order and keeps its local best under the same strict
+// earliest-finish comparison as the sequential loop; the final reduction
+// takes the minimum by (finish, candidate position), which is exactly the
+// placement the sequential loop would have kept.
 func (s *state) bestEFTParallel(v int, candidates []int, preds []predInfo, n, w int) placement {
 	for len(s.results) < w {
 		s.results = append(s.results, workerBest{})
@@ -631,11 +647,11 @@ func (s *state) bestEFTParallel(v int, candidates []int, preds []predInfo, n, w 
 	for wi := 1; wi < w; wi++ {
 		s.jobs[wi] = probeJob{
 			s: s, v: v, candidates: candidates, preds: preds,
-			n: n, w: w, wi: wi, res: res, done: &s.wg,
+			lo: wi * n / w, hi: (wi + 1) * n / w, wi: wi, res: res, done: &s.wg,
 		}
 		jobs <- &s.jobs[wi]
 	}
-	res[0] = s.probeStripe(v, candidates, preds, n, w, 0)
+	res[0] = s.probeSlice(v, candidates, preds, 0, n/w, 0)
 	s.wg.Wait()
 	s.refault()
 	best := workerBest{pos: -1}
@@ -651,13 +667,13 @@ func (s *state) bestEFTParallel(v int, candidates []int, preds []predInfo, n, w 
 	return best.pl
 }
 
-// probeStripe probes candidates wi, wi+w, wi+2w, … of task v and returns the
-// stripe's best placement under the strict earliest-finish comparison,
-// stashed into the stripe's own buf.
-func (s *state) probeStripe(v int, candidates []int, preds []predInfo, n, w, wi int) workerBest {
+// probeSlice probes candidate positions [lo, hi) of task v with worker wi's
+// buf and returns the slice's best placement under the strict
+// earliest-finish comparison, stashed into that buf.
+func (s *state) probeSlice(v int, candidates []int, preds []predInfo, lo, hi, wi int) workerBest {
 	b := s.bufs[wi]
 	lb := workerBest{pos: -1}
-	for j := wi; j < n; j += w {
+	for j := lo; j < hi; j++ {
 		p := j
 		if candidates != nil {
 			p = candidates[j]

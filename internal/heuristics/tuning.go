@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"runtime"
-	"sync/atomic"
 )
 
 // ErrCanceled marks a run aborted because its Tuning.Ctx expired (deadline
@@ -18,52 +17,18 @@ var ErrCanceled = errors.New("heuristics: run canceled")
 // probe-code panics are never mistaken for cancellations.
 type runCanceled struct{ err error }
 
-// defaultProbePar is the probe parallelism of the process-wide default
-// Tuning: the fan-out used by runs that neither carry their own Tuning nor
-// set ProbeParallelism. It exists only as the delegation target of the
-// deprecated SetProbeParallelism; new code should pass a Tuning instead.
-var defaultProbePar atomic.Int64
-
-func init() {
-	w := runtime.GOMAXPROCS(0)
-	if w > 8 {
-		w = 8
-	}
-	defaultProbePar.Store(int64(w))
-}
-
-// SetProbeParallelism sets the process-wide default number of concurrent
-// probe workers (clamped to at least 1; n = 1 forces the sequential
-// reference path) and returns the previous value.
-//
-// Deprecated: SetProbeParallelism mutates state shared by every scheduler in
-// the process, so one caller flipping it changes the fan-out of every
-// concurrent run that relies on the default. It is kept as a delegate that
-// sets the default Tuning's ProbeParallelism; concurrent schedulers should
-// pass a per-run Tuning{ProbeParallelism: n} instead, which this global can
-// never override.
-func SetProbeParallelism(n int) int {
-	if n < 1 {
-		n = 1
-	}
-	return int(defaultProbePar.Swap(int64(n)))
-}
-
-// Tuning carries per-run scheduler settings. Every heuristic historically
-// read the process-wide SetProbeParallelism knob, which is a hazard once
-// several schedulers run concurrently (a long-running service): one caller
-// flipping the global changes the fan-out of every in-flight request. A
-// Tuning scopes those settings to a single scheduler run; the zero value
-// (and a nil *Tuning) keeps the historical behaviour of sampling the
-// globals.
+// Tuning carries per-run scheduler settings. They are scoped to a single
+// scheduler run, so concurrent schedulers (a long-running service) never
+// retune each other; the zero value (and a nil *Tuning) runs with the
+// defaults documented on each field.
 //
 // A Tuning must not be shared by two runs at the same time when it carries
 // a Scratch: the scratch buffers are handed to the running state and only
 // returned when the run completes.
 type Tuning struct {
 	// ProbeParallelism caps the candidate-probe fan-out of this run
-	// (clamped to at least 1; 1 forces the sequential reference path).
-	// 0 uses the process-wide default set by SetProbeParallelism.
+	// (1 forces the sequential reference path). 0 resolves to
+	// min(GOMAXPROCS, 8) when the run starts.
 	ProbeParallelism int
 
 	// Scratch, when non-nil, donates reusable probe buffers to the run and
@@ -152,10 +117,10 @@ func (t *Tuning) runCtx() context.Context {
 }
 
 // par returns the run's probe parallelism: the Tuning's setting when
-// positive, otherwise the process-wide default.
+// positive, otherwise min(GOMAXPROCS, 8).
 func (t *Tuning) par() int {
 	if t != nil && t.ProbeParallelism > 0 {
 		return t.ProbeParallelism
 	}
-	return int(defaultProbePar.Load())
+	return min(runtime.GOMAXPROCS(0), 8)
 }

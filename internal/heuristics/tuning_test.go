@@ -2,6 +2,7 @@ package heuristics
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -12,10 +13,10 @@ import (
 
 // TestConcurrentSchedulersTuned is the safety net of the per-run Tuning:
 // many schedulers run concurrently, each with a different per-run probe
-// parallelism, while another goroutine keeps flipping the process-wide
-// default. Every run must produce a schedule identical to the sequential
-// reference — per-run settings must neither race (run under -race in CI)
-// nor leak across concurrent runs the way the global knob did.
+// parallelism, next to runs on the zero Tuning's default. Every run must
+// produce a schedule identical to the sequential reference — per-run
+// settings must neither race (run under -race in CI) nor leak across
+// concurrent runs.
 func TestConcurrentSchedulersTuned(t *testing.T) {
 	pl := platform.Paper()
 	g := testbeds.ForkJoin(40, 10)
@@ -25,6 +26,9 @@ func TestConcurrentSchedulersTuned(t *testing.T) {
 	probeParallelGrain = 2
 	defer func() { probeParallelGrain = oldGrain }()
 
+	if got, want := (&Tuning{}).par(), min(runtime.GOMAXPROCS(0), 8); got != want {
+		t.Fatalf("zero Tuning par = %d, want min(GOMAXPROCS, 8) = %d", got, want)
+	}
 	refH, err := heftRun(g, pl, sched.OnePort, false, &Tuning{ProbeParallelism: 1})
 	if err != nil {
 		t.Fatal(err)
@@ -34,32 +38,14 @@ func TestConcurrentSchedulersTuned(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// churn the global default while the tuned runs are in flight: per-run
-	// tunings must be immune to it
-	stop := make(chan struct{})
-	var churn sync.WaitGroup
-	churn.Add(1)
-	go func() {
-		defer churn.Done()
-		n := 1
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-				SetProbeParallelism(1 + n%8)
-				n++
-			}
-		}
-	}()
-
 	var wg sync.WaitGroup
 	errs := make(chan error, 32)
 	for i := 0; i < 16; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			tune := &Tuning{ProbeParallelism: 1 + i%6, Scratch: NewScratch()}
+			// workers 0, 6 and 12 run on the zero Tuning's default
+			tune := &Tuning{ProbeParallelism: i % 6, Scratch: NewScratch()}
 			for rep := 0; rep < 3; rep++ {
 				h, err := heftRun(g, pl, sched.OnePort, false, tune)
 				if err != nil {
@@ -83,9 +69,6 @@ func TestConcurrentSchedulersTuned(t *testing.T) {
 		}(i)
 	}
 	wg.Wait()
-	close(stop)
-	churn.Wait()
-	SetProbeParallelism(8)
 	close(errs)
 	for err := range errs {
 		t.Fatal(err)

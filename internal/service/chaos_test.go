@@ -404,10 +404,13 @@ func TestRingAdminAuth(t *testing.T) {
 // TestRequestTimeout pins the per-request compute deadline: a run that
 // exceeds Config.RequestTimeout is aborted at its next task commit and
 // answered 503 with a Retry-After header, counted in Stats.Timeouts — and
-// nothing of the aborted run is cached.
+// nothing of the aborted run is cached. The deadline is one only the
+// hook's sleep exceeds: the retry computes LU-12 on the same server well
+// within it, even race-instrumented on a loaded machine.
 func TestRequestTimeout(t *testing.T) {
-	srv := New(Config{RequestTimeout: time.Millisecond})
-	srv.testHook = func(*Request) { time.Sleep(20 * time.Millisecond) } // outlive the deadline before the run starts
+	const deadline = 500 * time.Millisecond
+	srv := New(Config{RequestTimeout: deadline})
+	srv.testHook = func(*Request) { time.Sleep(deadline + 50*time.Millisecond) } // outlive the deadline before the run starts
 	handler := srv.Handler()
 	payload := luPayload(t, 12)
 

@@ -109,6 +109,36 @@ func TestProbeParallelismClamp(t *testing.T) {
 	}
 }
 
+// TestProbeParallelismKeepsSchedule pins the promise that lets
+// probe_parallelism stay out of the cache key: the same DLS request sent
+// at probe parallelism 1 and 2 to two fresh servers answers the same bytes
+// (elapsed_ns aside). STENCIL-30 on the paper platform under one-port is an
+// instance where DLS once picked another schedule at parallelism 1.
+func TestProbeParallelismKeepsSchedule(t *testing.T) {
+	var bodies [2][]byte
+	for i, par := range []int{1, 2} {
+		payload, err := json.Marshal(Request{
+			Graph: testbeds.Stencil(30, 10), Platform: platform.Paper(), Heuristic: "dls",
+			Model: "oneport", Options: Options{ProbeParallelism: par},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		srv := New(Config{ProbeParallelism: 2})
+		if got := srv.clampProbePar(par); got != par {
+			t.Fatalf("probe parallelism %d clamped to %d", par, got)
+		}
+		code, body := postRaw(srv.Handler(), payload)
+		if code != http.StatusOK {
+			t.Fatalf("probe parallelism %d answered %d: %s", par, code, body)
+		}
+		bodies[i] = normElapsed(t, body)
+	}
+	if !bytes.Equal(bodies[0], bodies[1]) {
+		t.Fatal("DLS answers differ between probe parallelism 1 and 2")
+	}
+}
+
 // TestSingleflightColdRequests pins the coalescing contract: N concurrent
 // identical cold requests run the scheduler exactly once and all N callers
 // receive identical responses (run under -race in CI). The compute hook
