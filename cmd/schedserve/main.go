@@ -91,7 +91,6 @@ import (
 	"oneport/internal/platform"
 	"oneport/internal/service"
 	"oneport/internal/service/admit"
-	"oneport/internal/service/breaker"
 	"oneport/internal/service/journal"
 	"oneport/internal/service/sweep"
 	"oneport/internal/testbeds"
@@ -230,21 +229,16 @@ func serve(addr string, pool, cacheSz, probePar int, worker bool, self, peers, a
 	mux.Handle("/", srv.Handler())
 	role := "scheduler"
 	if worker {
+		var fleet *sweep.Fleet
 		if self != "" {
-			// share the service's live ring and breakers with the sweep
+			// share the service's live ring and relay with the sweep
 			// worker, so cold jobs fill from their owning worker and both
 			// paths agree on peer health and membership epoch
-			sweep.EnableFleet(&sweep.Fleet{
-				Self:     self,
-				Owner:    srv.RingOwner,
-				Epoch:    srv.RingEpoch,
-				Breakers: srv.PeerBreakers(),
-			})
+			fleet = &sweep.Fleet{Owner: srv.RingOwner, Epoch: srv.RingEpoch, Relay: srv.Relay()}
 		}
 		// shard traffic is Background class on the same slots and brownout
-		// ladder as cold /schedule runs (no-op when admission is off)
-		sweep.EnableAdmission(srv.Admission())
-		mux.Handle("/sweep/", sweep.Handler())
+		// ladder as cold /schedule runs (nil when admission is off)
+		mux.Handle("/sweep/", sweep.NewWorker(fleet, srv.Admission()).Handler())
 		role = "scheduler+sweep-worker"
 	}
 	if admCfg != nil {
@@ -336,7 +330,7 @@ func coordinateFigure(figID, sizesSpec, modelName, shards string) error {
 		}
 	}
 
-	co := &sweep.Coordinator{Workers: workers, Breakers: breaker.NewSet(breaker.Config{})}
+	co := &sweep.Coordinator{Workers: workers}
 	jobs := sweep.FigureJobs(fig, modelName, sizes)
 	start := time.Now()
 	results, err := co.Run(context.Background(), nil, jobs)
@@ -375,7 +369,7 @@ func coordinateBSweep(testbed string, size int, bsSpec string, scanDepth int, mo
 		return err
 	}
 
-	co := &sweep.Coordinator{Workers: workers, Breakers: breaker.NewSet(breaker.Config{})}
+	co := &sweep.Coordinator{Workers: workers}
 	jobs := sweep.BSweepJobs(testbed, size, modelName, scanDepth, bs)
 	results, err := co.Run(context.Background(), nil, jobs)
 	if err != nil {

@@ -3,8 +3,10 @@ package perf
 import (
 	"context"
 	"fmt"
+	"net/http"
 	"net/http/httptest"
 	"sync"
+	"sync/atomic"
 
 	"oneport/internal/exp"
 	"oneport/internal/sched"
@@ -12,13 +14,14 @@ import (
 )
 
 // sweepSpecs benchmarks the sharded sweep path: a fig8 figure sweep fed to
-// two in-process workers (the real /sweep/run handlers `schedserve -worker`
-// mounts) under work-stealing dispatch, merged and verified per op. Two
-// variants:
+// one in-process Worker (the real /sweep/run handler `schedserve -worker`
+// mounts) behind two listeners under work-stealing dispatch, merged and
+// verified per op. Two variants:
 //
-//   - sweep-fig8-worksteal: worker caches reset every op — the wall clock
-//     of a cold sharded sweep, dominated by the scheduler runs;
-//   - sweep-fig8-rerun: caches kept warm — the floor a repeated or
+//   - sweep-fig8-worksteal: a fresh Worker, so an empty cache, every op —
+//     the wall clock of a cold sharded sweep, dominated by the scheduler
+//     runs;
+//   - sweep-fig8-rerun: the cache kept warm — the floor a repeated or
 //     overlapping sweep pays, with every job a worker-side cache hit.
 //
 // The workers start lazily on first use so merely enumerating Specs() (the
@@ -33,13 +36,22 @@ func sweepSpecs() []Spec {
 
 	var once sync.Once
 	var co *sweep.Coordinator
+	var worker atomic.Value // http.Handler of the Worker both listeners serve
+	fresh := func() { worker.Store(sweep.NewWorker(nil, nil).Handler()) }
 	setup := func() {
-		w1 := httptest.NewServer(sweep.Handler())
-		w2 := httptest.NewServer(sweep.Handler())
+		fresh()
+		mount := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			worker.Load().(http.Handler).ServeHTTP(w, r)
+		})
+		w1 := httptest.NewServer(mount)
+		w2 := httptest.NewServer(mount)
 		co = &sweep.Coordinator{Workers: []string{w1.URL, w2.URL}}
 	}
-	runSweep := func() (int, error) {
+	runSweep := func(cold bool) (int, error) {
 		once.Do(setup)
+		if cold {
+			fresh()
+		}
 		results, err := co.Run(context.Background(), nil, jobs)
 		if err != nil {
 			return 0, err
@@ -55,8 +67,7 @@ func sweepSpecs() []Spec {
 			perOp:     float64(len(jobs)),
 			perOpUnit: "jobs",
 			work: func() (map[string]float64, error) {
-				sweep.ResetWorkerCache()
-				hits, err := runSweep()
+				hits, err := runSweep(true)
 				if err != nil {
 					return nil, err
 				}
@@ -71,7 +82,7 @@ func sweepSpecs() []Spec {
 			perOp:     float64(len(jobs)),
 			perOpUnit: "jobs",
 			work: func() (map[string]float64, error) {
-				hits, err := runSweep()
+				hits, err := runSweep(false)
 				if err != nil {
 					return nil, err
 				}

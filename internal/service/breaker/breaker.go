@@ -9,10 +9,13 @@
 // request, and a recovered peer is readmitted by a single cheap probe
 // rather than a thundering herd.
 //
-// The scheduling service shares one breaker Set between the /schedule
-// peer-relay path and the sweep worker's ring fills, so both views of a
-// peer's health agree. Callers pass time explicitly (Allow/Failure take
-// `now`), which keeps the state machine deterministic under test.
+// Breakers are gated and settled only by internal/service/relay, on behalf
+// of its four callers: the /schedule cache fill, a drain's session import,
+// the sweep worker's ring fill and the sweep coordinator's dispatch. A
+// replica's cache fills, imports and ring fills share one Set, so every
+// view of a peer's health agrees. Callers pass time explicitly
+// (Allow/Failure take `now`), which keeps the state machine deterministic
+// under test.
 package breaker
 
 import (
@@ -107,8 +110,8 @@ func New(cfg Config) *Breaker {
 // the open state it returns false until the backoff window elapses, at
 // which point the first caller becomes the half-open probe (Allow true)
 // and everyone else keeps being denied until that probe settles. Every
-// allowed request MUST be settled with exactly one Success or Failure
-// call — the half-open probe slot is only released by settling.
+// allowed request MUST be settled with exactly one Success, Failure or
+// Cancel call — the half-open probe slot is only released by settling.
 func (b *Breaker) Allow(now time.Time) bool {
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -231,7 +234,7 @@ func (s *Set) Get(name string) *Breaker {
 
 // Allow reports whether a request to name may proceed at `now`, counting
 // denials in the set's trip counter. An allowed request must be settled
-// with Success or Failure.
+// with Success, Failure or Cancel.
 func (s *Set) Allow(name string, now time.Time) bool {
 	if s.Get(name).Allow(now) {
 		return true

@@ -13,6 +13,7 @@ import (
 	"oneport/internal/graph"
 	"oneport/internal/platform"
 	"oneport/internal/sched"
+	"oneport/internal/service/relay"
 	"oneport/internal/testbeds"
 )
 
@@ -508,7 +509,7 @@ func TestColdPathWireBytes(t *testing.T) {
 			t.Fatalf("%s: canonical hit differs from the byte-index hit", name)
 		}
 		peer := send("/cache/peer", bytes.Replace(body, []byte(`"weight":`), []byte(`"weight":0.5e1,"label":"x"}`+`,{"weight":`), 1),
-			ringEpochHeader, "0")
+			relay.EpochHeader, "0")
 		asReference(name+" /cache/peer miss", peer, false)
 
 		open := send("/session", body)
@@ -538,7 +539,7 @@ func TestColdPathWireBytes(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		imp.Header.Set(ringEpochHeader, "0")
+		imp.Header.Set(relay.EpochHeader, "0")
 		hr, err = ts2.Client().Do(imp)
 		if err != nil {
 			t.Fatal(err)

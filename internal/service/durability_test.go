@@ -15,6 +15,7 @@ import (
 	"oneport/internal/service/admit"
 	"oneport/internal/service/breaker"
 	"oneport/internal/service/journal"
+	"oneport/internal/service/relay"
 	"oneport/internal/testbeds"
 )
 
@@ -333,7 +334,7 @@ func TestImportEpochSkew(t *testing.T) {
 		t.Fatal(err)
 	}
 	req.Header.Set("Content-Type", "application/json")
-	req.Header.Set(ringEpochHeader, "999999")
+	req.Header.Set(relay.EpochHeader, "999999")
 	hr, err := ts.Client().Do(req)
 	if err != nil {
 		t.Fatal(err)
@@ -342,7 +343,7 @@ func TestImportEpochSkew(t *testing.T) {
 	if hr.StatusCode != http.StatusConflict {
 		t.Fatalf("skewed import answered %d, want 409", hr.StatusCode)
 	}
-	if hr.Header.Get(ringEpochHeader) == "" {
+	if hr.Header.Get(relay.EpochHeader) == "" {
 		t.Error("409 does not echo the serving epoch")
 	}
 	if st := statsSnapshot(t, ts); st.PeerEpochSkew == 0 {
@@ -412,8 +413,43 @@ func TestDrainShedPeerKeepsBreakerClosed(t *testing.T) {
 	if moved, kept := sA.Load().DrainSessions(context.Background()); moved != 0 || kept != 1 {
 		t.Fatalf("DrainSessions = %d moved, %d kept, want 0, 1", moved, kept)
 	}
-	if got := sA.Load().PeerBreakers().Get(shed.URL).CurrentState(time.Now()); got != breaker.Closed {
+	if got := sA.Load().Relay().Breakers().Get(shed.URL).CurrentState(time.Now()); got != breaker.Closed {
 		t.Fatalf("breaker %v after a shed import, want closed", got)
+	}
+}
+
+// TestDrainRetriesDroppedImport: an import whose connection drops before
+// the survivor answers is sent once more, and the session moves.
+func TestDrainRetriesDroppedImport(t *testing.T) {
+	var sA, sB atomic.Pointer[Server]
+	var dropped atomic.Bool
+	tsB := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/session/peer/import" && !dropped.Swap(true) {
+			panic(http.ErrAbortHandler) // close the connection unanswered
+		}
+		sB.Load().Handler().ServeHTTP(w, r)
+	}))
+	defer tsB.Close()
+	tsA := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		sA.Load().Handler().ServeHTTP(w, r)
+	}))
+	defer tsA.Close()
+	members := []string{tsA.URL, tsB.URL}
+	sA.Store(New(Config{Self: tsA.URL, Peers: members}))
+	sB.Store(New(Config{Self: tsB.URL, Peers: members}))
+
+	sr := openSession(t, tsA, Request{Graph: testbeds.LU(8, 10), Platform: platform.Paper(), Heuristic: "heft", Model: "oneport"})
+	if moved, kept := sA.Load().DrainSessions(context.Background()); moved != 1 || kept != 0 {
+		t.Fatalf("DrainSessions = %d moved, %d kept, want 1, 0", moved, kept)
+	}
+	if !dropped.Load() {
+		t.Fatal("the import was never dropped; the retry path did not run")
+	}
+	if hr, body := doJSON(t, tsB, http.MethodGet, "/session/"+sr.SessionID+"/export", nil); hr.StatusCode != http.StatusOK {
+		t.Fatalf("moved session not held by the survivor: %d %s", hr.StatusCode, body)
+	}
+	if got := sA.Load().Relay().Breakers().Get(tsB.URL).CurrentState(time.Now()); got != breaker.Closed {
+		t.Fatalf("breaker %v after a retried import, want closed", got)
 	}
 }
 
@@ -450,7 +486,7 @@ func TestExportEndpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	req.Header.Set("Content-Type", "application/json")
-	req.Header.Set(ringEpochHeader, "0")
+	req.Header.Set(relay.EpochHeader, "0")
 	hr2, err := ts2.Client().Do(req)
 	if err != nil {
 		t.Fatal(err)

@@ -12,17 +12,13 @@ package service
 // recovered on the next start instead of being lost.
 
 import (
-	"bytes"
 	"context"
 	"crypto/sha256"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"net/http"
-	"strconv"
-	"time"
 
-	"oneport/internal/service/ring"
+	"oneport/internal/service/relay"
 	"oneport/internal/service/session"
 )
 
@@ -50,22 +46,12 @@ func (s *Server) DrainSessions(ctx context.Context) (moved, kept int) {
 	if !st.active() {
 		return 0, len(ids)
 	}
-	var survivors []string
-	for _, m := range st.members() {
-		if m != s.peers.self {
-			survivors = append(survivors, m)
-		}
-	}
-	if len(survivors) == 0 {
-		return 0, len(ids)
-	}
-	surv := ring.New(survivors, 0)
 	for _, id := range ids {
 		if ctx.Err() != nil {
 			kept += len(ids) - moved - kept
 			break
 		}
-		owner := surv.Owner(sha256.Sum256([]byte(id)))
+		owner := st.survivors.Owner(sha256.Sum256([]byte(id)))
 		err := s.sessions.Handoff(id, func(snap *session.Snapshot) error {
 			return s.sendSessionImport(ctx, owner, st.epoch, snap)
 		})
@@ -82,54 +68,20 @@ func (s *Server) DrainSessions(ctx context.Context) (moved, kept int) {
 }
 
 // sendSessionImport posts one session snapshot to a peer's import
-// endpoint, tagged with the epoch the owner was resolved under, settling
-// the peer's circuit breaker with the verdict it earned (the same rules
-// as cache fills: transport failure and 5xx other than a 503 shed are the
-// peer's fault, any completed verdict proves it alive, our own
-// cancellation proves nothing). Only a 200 — the peer rebuilt and
-// journaled the session — counts as delivered.
+// endpoint through the relay, tagged with the epoch the owner was
+// resolved under; the relay settles the peer's breaker (see its verdict
+// table). Only a 200 — the peer rebuilt and journaled the session —
+// counts as delivered.
 func (s *Server) sendSessionImport(ctx context.Context, owner string, epoch uint64, snap *session.Snapshot) error {
-	now := time.Now()
-	if !s.peers.breakers.Allow(owner, now) {
-		return fmt.Errorf("service: peer %s breaker open", owner)
-	}
 	body, err := json.Marshal(snap)
 	if err != nil {
 		return fmt.Errorf("service: encode session %s: %w", snap.ID, err)
 	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, owner+"/session/peer/import", bytes.NewReader(body))
+	rep, err := s.peers.relay.Do(ctx, relay.Call{Peer: owner, Path: "/session/peer/import", Body: body, Epoch: epoch})
 	if err != nil {
-		return err
+		return fmt.Errorf("service: import session %s: %w", snap.ID, err)
 	}
-	req.Header.Set("Content-Type", "application/json")
-	req.Header.Set(ringEpochHeader, strconv.FormatUint(epoch, 10))
-	hr, err := s.peers.client.Do(req)
-	if err != nil {
-		if ctx.Err() != nil {
-			s.peers.breakers.Cancel(owner)
-		} else {
-			s.peers.breakers.Failure(owner, time.Now())
-		}
-		return err
-	}
-	defer drainClose(hr.Body)
-	switch {
-	case hr.StatusCode == http.StatusOK:
-		s.peers.breakers.Success(owner)
-		return nil
-	case hr.StatusCode == http.StatusConflict:
-		// epoch skew mid-rollout: the owner is alive but routing by a
-		// different membership map — keep the session journaled here
-		s.peers.skews.Add(1)
-		s.peers.breakers.Success(owner)
-		return fmt.Errorf("service: peer %s serves a different ring epoch", owner)
-	case hr.StatusCode >= 500 && hr.StatusCode != http.StatusServiceUnavailable:
-		s.peers.breakers.Failure(owner, time.Now())
-		return fmt.Errorf("service: peer %s import failed: %s", owner, hr.Status)
-	default:
-		// 4xx or a 503 shed: the peer answered — alive, but refusing;
-		// overload must never masquerade as peer death
-		s.peers.breakers.Success(owner)
-		return fmt.Errorf("service: peer %s refused import: %s", owner, hr.Status)
-	}
+	// the 200 already proves delivery; the body only settles the breaker
+	_, _ = rep.Read(nil)
+	return nil
 }

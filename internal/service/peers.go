@@ -1,46 +1,22 @@
 package service
 
 import (
-	"bytes"
-	"context"
 	"crypto/sha256"
 	"fmt"
 	"net"
 	"net/http"
-	"strconv"
 	"sync/atomic"
 	"time"
 
 	"oneport/internal/service/breaker"
+	"oneport/internal/service/relay"
 	"oneport/internal/service/ring"
 )
-
-// maxPeerBodyBytes caps how much of a peer's response a fill will read: a
-// compromised or confused replica must not be able to balloon this one's
-// memory. Far above any real encoded schedule, far below "unbounded".
-const maxPeerBodyBytes = 256 << 20
-
-// ringEpochHeader tags every replica-internal relay with the membership
-// epoch the sender routed by. The receiver serves the relay only when the
-// epochs match; otherwise it answers 409 and the requester computes
-// locally. The tag is what makes a live membership swap safe: two replicas
-// holding different rings can never complete a relay between them, so a
-// half-propagated epoch degrades to duplicate local compute — never to a
-// response produced under the wrong ownership map.
-const ringEpochHeader = "X-Ring-Epoch"
 
 // streamMarkHeader marks a response that was encoded straight to the wire
 // (no staged body). A requester relaying a peer fill detects the mark and
 // streams the body through to its own client instead of staging it.
 const streamMarkHeader = "X-Sched-Stream"
-
-// maxFillAttempts is the retry budget of one peer fill: a transport error
-// with the request context still live gets this many total connection
-// attempts before the fill counts as failed. The budget covers exactly the
-// blips worth retrying (a dropped connection mid-handshake); verdicts the
-// owner actually delivered — any status, a torn body — are never retried,
-// local compute is cheaper than a second round-trip.
-const maxFillAttempts = 2
 
 // ringState is one immutable epoch of fleet membership: a version number
 // and the consistent-hash ring built from that epoch's replica list. A nil
@@ -50,6 +26,21 @@ const maxFillAttempts = 2
 type ringState struct {
 	epoch uint64
 	ring  *ring.Ring
+	// survivors is the ring of the epoch's members minus this replica:
+	// where DrainSessions ships sessions, and where a draining replica
+	// redirects the session ids that hash to itself.
+	survivors *ring.Ring
+}
+
+// newRingState builds the state of one epoch over r, as seen by self.
+func newRingState(epoch uint64, r *ring.Ring, self string) *ringState {
+	var rest []string
+	for _, m := range r.Members() {
+		if m != self {
+			rest = append(rest, m)
+		}
+	}
+	return &ringState{epoch: epoch, ring: r, survivors: ring.New(rest, 0)}
 }
 
 // active reports whether this epoch has anyone to forward to.
@@ -66,20 +57,18 @@ func (st *ringState) members() []string {
 }
 
 // peerSet is the requester-side half of the distributed cache: the current
-// membership epoch (swappable live via POST /ring), the HTTP client that
-// asks owners to fill, and the per-peer circuit breakers that degrade the
-// server to local-only compute while an owner is down. nil means the
-// replica has no identity (Config.Self empty) and can never participate in
-// a fleet; a non-nil peerSet with an inactive ring is a single replica
-// that may be joined into a fleet later.
+// membership epoch (swappable live via POST /ring) and the relay that
+// carries every call to a peer — its HTTP client, and the per-peer circuit
+// breakers that degrade the server to local-only compute while an owner
+// is down. nil means the replica has no identity (Config.Self empty) and
+// can never participate in a fleet; a non-nil peerSet with an inactive
+// ring is a single replica that may be joined into a fleet later.
 type peerSet struct {
-	self     string
-	client   *http.Client
-	breakers *breaker.Set
+	self  string
+	relay *relay.Relay
 
 	state atomic.Pointer[ringState]
 	swaps atomic.Int64 // accepted membership swaps
-	skews atomic.Int64 // relays rejected (seen from either side) for epoch mismatch
 }
 
 // newPeerSet builds the peer layer from Config.Self and Config.Peers. The
@@ -112,10 +101,10 @@ func newPeerSet(self string, peers []string, client *http.Client, brk breaker.Co
 			},
 		}
 	}
-	p := &peerSet{self: self, client: client, breakers: breaker.NewSet(brk)}
+	p := &peerSet{self: self, relay: relay.New(client, breaker.NewSet(brk))}
 	st := &ringState{}
 	if len(peers) > 0 {
-		st = &ringState{epoch: 1, ring: ring.New(append([]string{self}, peers...), 0)}
+		st = newRingState(1, ring.New(append([]string{self}, peers...), 0), self)
 	}
 	p.state.Store(st)
 	return p
@@ -137,26 +126,15 @@ func (p *peerSet) owner(sum [sha256.Size]byte) (member string, isSelf bool, epoc
 	return member, member == p.self, st.epoch, true
 }
 
-// survivorOwner maps a sum to its owner on the ring of the current
-// epoch's members minus self — the ring DrainSessions hands sessions to.
-// A draining replica uses it to redirect traffic for sessions that hashed
-// to itself: they were shipped to the survivor owner, not the full-ring
-// one. ok is false when the fleet is inactive or self is the only member.
-func (p *peerSet) survivorOwner(sum [sha256.Size]byte) (member string, ok bool) {
-	st := p.state.Load()
+// survivorOwner maps a sum to its owner on the survivor ring — the ring
+// DrainSessions hands sessions to. ok is false when the fleet is inactive.
+// An active ring has at least two distinct members, so its survivor ring
+// is never empty.
+func (st *ringState) survivorOwner(sum [sha256.Size]byte) (member string, ok bool) {
 	if !st.active() {
 		return "", false
 	}
-	var survivors []string
-	for _, m := range st.members() {
-		if m != p.self {
-			survivors = append(survivors, m)
-		}
-	}
-	if len(survivors) == 0 {
-		return "", false
-	}
-	return ring.New(survivors, 0).Owner(sum), true
+	return st.survivors.Owner(sum), true
 }
 
 // swap installs a new membership epoch. Epochs are strictly monotonic: a
@@ -174,6 +152,7 @@ func (p *peerSet) swap(epoch uint64, members []string) (*ringState, bool, error)
 	if r.Size() == 0 {
 		return nil, false, fmt.Errorf("service: ring update has no members")
 	}
+	next := newRingState(epoch, r, p.self)
 	for {
 		cur := p.state.Load()
 		if epoch < cur.epoch {
@@ -185,7 +164,6 @@ func (p *peerSet) swap(epoch uint64, members []string) (*ringState, bool, error)
 			}
 			return cur, false, fmt.Errorf("service: conflicting membership for current epoch %d", epoch)
 		}
-		next := &ringState{epoch: epoch, ring: r}
 		if p.state.CompareAndSwap(cur, next) {
 			p.swaps.Add(1)
 			return next, true, nil
@@ -204,22 +182,4 @@ func sameMembers(a, b []string) bool {
 		}
 	}
 	return true
-}
-
-// fetch relays one raw request body to the owner's internal fill endpoint,
-// tagged with the epoch the owner was resolved under. The caller owns the
-// returned response (status dispatch, body limits, breaker verdict).
-func (p *peerSet) fetch(ctx context.Context, owner string, epoch uint64, body []byte, tenant string) (*http.Response, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, owner+"/cache/peer", bytes.NewReader(body))
-	if err != nil {
-		return nil, err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	req.Header.Set(ringEpochHeader, strconv.FormatUint(epoch, 10))
-	if tenant != "" && tenant != defaultTenant {
-		// forward the client's identity so the owner's admission charges
-		// the real tenant, not one shared relay bucket
-		req.Header.Set(apiKeyHeader, tenant)
-	}
-	return p.client.Do(req)
 }

@@ -8,7 +8,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"runtime"
 	"strconv"
@@ -21,6 +20,7 @@ import (
 	"oneport/internal/service/admit"
 	"oneport/internal/service/breaker"
 	"oneport/internal/service/journal"
+	"oneport/internal/service/relay"
 	"oneport/internal/service/session"
 )
 
@@ -123,21 +123,20 @@ type Server struct {
 	sessions  *session.Manager
 	start     time.Time
 
-	requests   atomic.Int64 // single /schedule jobs accepted
-	batches    atomic.Int64 // /batch payloads accepted
-	batchJobs  atomic.Int64 // jobs inside batch payloads
-	hits       atomic.Int64
-	bodyHits   atomic.Int64 // subset of hits served from the raw-body byte index
-	misses     atomic.Int64
-	coalesced  atomic.Int64 // requests that shared an identical in-flight run
-	peerHits   atomic.Int64 // requests answered with bytes fetched from the owner replica
-	peerFills  atomic.Int64 // inbound /cache/peer fill requests accepted
-	peerErrors atomic.Int64 // owner fetches that failed and degraded to local compute
-	timeouts   atomic.Int64 // runs aborted at the RequestTimeout deadline (503)
-	shed       atomic.Int64 // requests refused by admission control (503)
-	errors     atomic.Int64
-	inFlight   atomic.Int64 // scheduler runs currently executing
-	svcNanos   atomic.Int64 // EWMA of compute durations, for Retry-After hints
+	requests  atomic.Int64 // single /schedule jobs accepted
+	batches   atomic.Int64 // /batch payloads accepted
+	batchJobs atomic.Int64 // jobs inside batch payloads
+	hits      atomic.Int64
+	bodyHits  atomic.Int64 // subset of hits served from the raw-body byte index
+	misses    atomic.Int64
+	coalesced atomic.Int64 // requests that shared an identical in-flight run
+	peerHits  atomic.Int64 // requests answered with bytes fetched from the owner replica
+	peerFills atomic.Int64 // inbound /cache/peer fill requests accepted
+	timeouts  atomic.Int64 // runs aborted at the RequestTimeout deadline (503)
+	shed      atomic.Int64 // requests refused by admission control (503)
+	errors    atomic.Int64
+	inFlight  atomic.Int64 // scheduler runs currently executing
+	svcNanos  atomic.Int64 // EWMA of compute durations, for Retry-After hints
 
 	draining         atomic.Bool  // drain begun: opens/imports refused, readyz not-ready
 	recovering       atomic.Bool  // journal replay in progress: readyz not-ready
@@ -298,11 +297,11 @@ const maxServeAttempts = 3
 // a peer fill. nil means resp must be encoded (errors, streamed sizes).
 //
 // A stream-marked owner response cannot be shared through the flight (the
-// body is a wire stream, not bytes): the leader carries it out via the
-// returned relay and streams it to its own client; followers see
+// body is a wire stream, not bytes): the leader carries it out as the
+// returned reply and streams it to its own client; followers see
 // resp.relayStreamed and retry.
-func (s *Server) serveFlight(req *Request, sum [sha256.Size]byte, key string, model sched.Model, fromPeer bool, raw []byte, ln lane) (Response, []byte, *peerRelay) {
-	var relay *peerRelay
+func (s *Server) serveFlight(req *Request, sum [sha256.Size]byte, key string, model sched.Model, fromPeer bool, raw []byte, ln lane) (Response, []byte, *relay.Reply) {
+	var stream *relay.Reply
 	resp, enc := s.flights.do(key,
 		func() { s.coalesced.Add(1) },
 		func() (Response, []byte) {
@@ -311,9 +310,9 @@ func (s *Server) serveFlight(req *Request, sum [sha256.Size]byte, key string, mo
 				return resp, enc
 			}
 			if !fromPeer && s.peers != nil {
-				resp, enc, rel, ok := s.peerFill(ln.ctx, sum, key, raw, ln.tenant)
-				if rel != nil {
-					relay = rel
+				resp, enc, rep, ok := s.peerFill(ln.ctx, sum, key, raw, ln.tenant)
+				if rep != nil {
+					stream = rep
 					return Response{relayStreamed: true}, nil
 				}
 				if ok {
@@ -323,7 +322,7 @@ func (s *Server) serveFlight(req *Request, sum [sha256.Size]byte, key string, mo
 			s.misses.Add(1)
 			return s.compute(req, key, model, ln)
 		})
-	return resp, enc, relay
+	return resp, enc, stream
 }
 
 // compute runs the scheduler for one request and caches a clean result.
@@ -542,20 +541,25 @@ func (s *Server) handleSchedule(w http.ResponseWriter, r *http.Request) {
 // requester computes locally. This is the no-split-brain invariant: a
 // relay routed by one membership map is never served under another.
 func (s *Server) handleCachePeer(w http.ResponseWriter, r *http.Request) {
+	if s.guardEpoch(w, r, "relay") {
+		s.serveSchedule(w, r, true)
+	}
+}
+
+// guardEpoch applies the relay's epoch guard to an inbound
+// replica-internal call, answering 409 on a mismatch, and reports whether
+// the call may proceed. A replica without an identity serves epoch 0.
+func (s *Server) guardEpoch(w http.ResponseWriter, r *http.Request, what string) bool {
+	var rl *relay.Relay
 	cur := uint64(0)
 	if s.peers != nil {
-		cur = s.peers.epoch()
+		rl, cur = s.peers.relay, s.peers.epoch()
 	}
-	if got, err := strconv.ParseUint(r.Header.Get(ringEpochHeader), 10, 64); err != nil || got != cur {
-		if s.peers != nil {
-			s.peers.skews.Add(1)
-		}
-		w.Header().Set(ringEpochHeader, strconv.FormatUint(cur, 10))
-		writeJSON(w, http.StatusConflict, Response{Error: fmt.Sprintf(
-			"service: ring epoch mismatch: relay tagged %q, serving epoch %d", r.Header.Get(ringEpochHeader), cur)})
-		return
+	if err := rl.Guard(w, r, cur, what); err != nil {
+		writeJSON(w, http.StatusConflict, Response{Error: "service: " + err.Error()})
+		return false
 	}
-	s.serveSchedule(w, r, true)
+	return true
 }
 
 // serveSchedule is the serving hot path. The fast path never touches JSON:
@@ -618,12 +622,12 @@ func (s *Server) serveSchedule(w http.ResponseWriter, r *http.Request, fromPeer 
 	var resp Response
 	var enc []byte
 	for attempt := 0; ; attempt++ {
-		var relay *peerRelay
-		resp, enc, relay = s.serveFlight(&req, sum, key, model, fromPeer, buf.Bytes(), ln)
-		if relay != nil {
+		var stream *relay.Reply
+		resp, enc, stream = s.serveFlight(&req, sum, key, model, fromPeer, buf.Bytes(), ln)
+		if stream != nil {
 			// this request led a stream-marked fill: pipe the owner's body
 			// straight to the client, no staging
-			s.streamRelay(w, relay)
+			s.streamRelay(w, stream)
 			return
 		}
 		if !resp.relayStreamed {
@@ -678,14 +682,6 @@ func (s *Server) readBody(w http.ResponseWriter, r *http.Request) (*bytes.Buffer
 	return buf, func() { bufPool.Put(buf) }, nil
 }
 
-// peerRelay carries a stream-marked owner response out of the flight
-// closure: the leader that fetched it owns the body and streams it to its
-// own client after the flight settles.
-type peerRelay struct {
-	body  io.ReadCloser
-	owner string
-}
-
 // peerFill is the requester side of the distributed cache: on a local miss
 // for a key the ring assigns to another replica, relay the raw body to the
 // owner's /cache/peer endpoint and serve its bytes verbatim — the owner
@@ -693,96 +689,46 @@ type peerRelay struct {
 // concurrent fills) and the response is byte-identical to a single-replica
 // answer. The fetched result is adopted into the local cache, so repeats on
 // this replica become local byte-index hits; a stream-marked response is
-// instead handed back as a relay for the caller to pipe through.
-//
-// Every fill settles the owner's circuit breaker exactly once, and only
-// with a verdict the owner actually earned: transport failures with our
-// client still connected, owner 5xx, and a torn or undecodable 200 are the
-// owner's fault (Failure); an owner 4xx and a ring-epoch 409 prove the
-// owner alive (Success); our own client hanging up proves nothing
-// (Cancel). ok=false always degrades to local compute.
-func (s *Server) peerFill(ctx context.Context, sum [sha256.Size]byte, key string, raw []byte, tenant string) (Response, []byte, *peerRelay, bool) {
+// instead handed back as a reply for the caller to pipe through. The
+// relay settles the owner's breaker (see its verdict table); ok=false
+// always degrades to local compute.
+func (s *Server) peerFill(ctx context.Context, sum [sha256.Size]byte, key string, raw []byte, tenant string) (Response, []byte, *relay.Reply, bool) {
 	owner, isSelf, epoch, active := s.peers.owner(sum)
 	if !active || isSelf {
 		return Response{}, nil, nil, false
 	}
-	if !s.peers.breakers.Allow(owner, time.Now()) {
+	call := relay.Call{Peer: owner, Path: "/cache/peer", Body: raw, Epoch: epoch}
+	if tenant != "" && tenant != defaultTenant {
+		// forward the client's identity so the owner's admission charges
+		// the real tenant, not one shared relay bucket
+		call.Header = http.Header{}
+		call.Header.Set(apiKeyHeader, tenant)
+	}
+	rep, err := s.peers.relay.Do(ctx, call)
+	if err != nil {
 		return Response{}, nil, nil, false
 	}
-	var hr *http.Response
-	for attempt := 1; ; attempt++ {
-		var err error
-		hr, err = s.peers.fetch(ctx, owner, epoch, raw, tenant)
-		if err == nil {
-			break
-		}
-		if ctx.Err() != nil {
-			s.peers.breakers.Cancel(owner)
-			return Response{}, nil, nil, false
-		}
-		if attempt < maxFillAttempts {
-			continue // retry budget: a transport blip gets one more connection
-		}
-		s.peerErrors.Add(1)
-		s.peers.breakers.Failure(owner, time.Now())
-		return Response{}, nil, nil, false
-	}
-	switch {
-	case hr.StatusCode == http.StatusConflict:
-		// ring-epoch skew: the owner serves a different membership epoch
-		// than the one this fill was routed by. The peer is alive and
-		// answering — record Success, count the skew, compute locally until
-		// the membership push reaches both sides.
-		drainClose(hr.Body)
-		s.peers.skews.Add(1)
-		s.peers.breakers.Success(owner)
-		return Response{}, nil, nil, false
-	case hr.StatusCode == http.StatusServiceUnavailable:
-		// the owner is shedding load (admission queue full, brownout, or
-		// a compute deadline): explicit backpressure from a live peer, not
-		// a fault — settling Failure here would let overload masquerade as
-		// peer death and cascade breaker opens across the fleet. Degrade
-		// to local compute under this replica's own admission verdict.
-		drainClose(hr.Body)
-		s.peerErrors.Add(1)
-		s.peers.breakers.Success(owner)
-		return Response{}, nil, nil, false
-	case hr.StatusCode >= 500:
-		drainClose(hr.Body)
-		s.peerErrors.Add(1)
-		s.peers.breakers.Failure(owner, time.Now())
-		return Response{}, nil, nil, false
-	case hr.StatusCode != http.StatusOK:
-		// 4xx: the request's fault, not the peer's; local compute reproduces
-		// the same verdict without poisoning peer health
-		drainClose(hr.Body)
-		s.peers.breakers.Success(owner)
-		return Response{}, nil, nil, false
-	}
-	if hr.Header.Get(streamMarkHeader) != "" {
-		// the owner streamed its encode: hand the open body to the caller;
-		// the breaker settles after the copy, when the owner's half of the
-		// stream has proven itself
-		return Response{}, nil, &peerRelay{body: hr.Body, owner: owner}, false
-	}
-	defer hr.Body.Close()
-	enc, err := io.ReadAll(io.LimitReader(hr.Body, maxPeerBodyBytes+1))
-	if err != nil || len(enc) > maxPeerBodyBytes {
-		// torn or oversized body: nothing adoptable, and NOTHING may be
-		// cached — a truncated encoding must never become a byte-index entry
-		s.peerErrors.Add(1)
-		s.peers.breakers.Failure(owner, time.Now())
-		return Response{}, nil, nil, false
+	if rep.Header.Get(streamMarkHeader) != "" {
+		// the owner streamed its encode: hand the open body to the caller,
+		// whose copy settles the breaker
+		return Response{}, nil, rep, false
 	}
 	var resp Response
-	if json.Unmarshal(enc, &resp) != nil || resp.Error != "" {
-		// a 200 that does not decode to a clean response is an owner fault
-		s.peerErrors.Add(1)
-		s.peers.breakers.Failure(owner, time.Now())
+	enc, err := rep.Read(func(b []byte) error {
+		if err := json.Unmarshal(b, &resp); err != nil {
+			return err
+		}
+		if resp.Error != "" {
+			return errors.New(resp.Error)
+		}
+		return nil
+	})
+	if err != nil {
+		// NOTHING may be cached from a torn, oversized or unclean body: a
+		// truncated encoding must never become a byte-index entry
 		return Response{}, nil, nil, false
 	}
 	s.peerHits.Add(1)
-	s.peers.breakers.Success(owner)
 	stored := resp
 	stored.Cached = false // stored form; get re-marks hits
 	var hit []byte
@@ -794,53 +740,18 @@ func (s *Server) peerFill(ctx context.Context, sum [sha256.Size]byte, key string
 }
 
 // streamRelay pipes a stream-marked owner body straight through to the
-// client — owner to requester to client wire with no staging — and settles
-// the owner's breaker with what the copy proved. A body torn mid-stream
-// aborts the client connection (panic(http.ErrAbortHandler) is net/http's
+// client — owner to requester to client wire with no staging — and the
+// copy settles the owner's breaker. A body that breaks mid-stream aborts
+// the client connection (panic(http.ErrAbortHandler) is net/http's
 // sanctioned abort): the client must see a broken transfer, never a
 // truncated body dressed up as a complete response.
-func (s *Server) streamRelay(w http.ResponseWriter, rel *peerRelay) {
-	defer rel.body.Close()
-	src := &readErrTracker{r: io.LimitReader(rel.body, maxPeerBodyBytes)}
+func (s *Server) streamRelay(w http.ResponseWriter, rep *relay.Reply) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(http.StatusOK)
-	if _, err := io.Copy(w, src); err != nil {
-		if src.err != nil {
-			// the owner's half broke: peer fault
-			s.peerErrors.Add(1)
-			s.peers.breakers.Failure(rel.owner, time.Now())
-		} else {
-			// our client stopped reading: no verdict about the owner
-			s.peers.breakers.Cancel(rel.owner)
-		}
+	if rep.Stream(w) != nil {
 		panic(http.ErrAbortHandler)
 	}
 	s.peerHits.Add(1)
-	s.peers.breakers.Success(rel.owner)
-}
-
-// readErrTracker remembers whether a copy failure came from the read side,
-// so a relay can attribute a torn transfer to the owner rather than to its
-// own client hanging up.
-type readErrTracker struct {
-	r   io.Reader
-	err error
-}
-
-func (t *readErrTracker) Read(p []byte) (int, error) {
-	n, err := t.r.Read(p)
-	if err != nil && err != io.EOF {
-		t.err = err
-	}
-	return n, err
-}
-
-// drainClose reads a bounded slice of an error body so the connection is
-// reusable, then closes it; its content does not matter — local compute
-// reproduces any owner-side verdict.
-func drainClose(body io.ReadCloser) {
-	_, _ = io.Copy(io.Discard, io.LimitReader(body, 4096))
-	body.Close()
 }
 
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
@@ -929,8 +840,10 @@ type Stats struct {
 	// Peers is the distinct replica count of the cache ring (0 when
 	// running single-replica). PeerHits counts requests answered with
 	// bytes fetched from the key's owner replica, PeerFills inbound fill
-	// requests served for other replicas, and PeerErrors owner fetches
-	// that failed and degraded to local compute.
+	// requests served for other replicas, and PeerErrors
+	// replica-to-replica calls (cache fills, session imports, sweep ring
+	// fills) that degraded for a peer-side reason: a Failure verdict or a
+	// 503 shed.
 	Peers      int   `json:"peers"`
 	PeerHits   int64 `json:"peer_hits"`
 	PeerFills  int64 `json:"peer_fills"`
@@ -991,7 +904,8 @@ type Stats struct {
 func (s *Server) StatsSnapshot() Stats {
 	peers := 0
 	var ringEpoch uint64
-	var ringSwaps, epochSkew int64
+	var ringSwaps int64
+	var rc relay.Counters
 	var brk breaker.Counters
 	if s.peers != nil {
 		st := s.peers.state.Load()
@@ -1000,8 +914,8 @@ func (s *Server) StatsSnapshot() Stats {
 		}
 		ringEpoch = st.epoch
 		ringSwaps = s.peers.swaps.Load()
-		epochSkew = s.peers.skews.Load()
-		brk = s.peers.breakers.Stats(time.Now())
+		rc = s.peers.relay.Counters()
+		brk = s.peers.relay.Breakers().Stats(time.Now())
 	}
 	sess := s.sessions.StatsSnapshot()
 	st := Stats{
@@ -1019,10 +933,10 @@ func (s *Server) StatsSnapshot() Stats {
 		Peers:                 peers,
 		PeerHits:              s.peerHits.Load(),
 		PeerFills:             s.peerFills.Load(),
-		PeerErrors:            s.peerErrors.Load(),
+		PeerErrors:            rc.Failed,
 		RingEpoch:             ringEpoch,
 		RingSwaps:             ringSwaps,
-		PeerEpochSkew:         epochSkew,
+		PeerEpochSkew:         rc.Skews,
 		BreakersOpen:          brk.Open,
 		BreakerOpens:          brk.Opens,
 		BreakerTrips:          brk.Trips,
@@ -1082,14 +996,16 @@ func (s *Server) RingEpoch() uint64 {
 // slots and brownout ladder. nil when admission control is disabled.
 func (s *Server) Admission() *admit.Controller { return s.admission }
 
-// PeerBreakers exposes the per-peer circuit breakers so every peer path in
-// the process — /schedule relays and sweep fills alike — shares one view
-// of each peer's health. nil when the replica has no identity.
-func (s *Server) PeerBreakers() *breaker.Set {
+// Relay exposes the replica's relay — its peer client, per-peer circuit
+// breakers and outcome counts — so every replica-to-replica call in the
+// process, the sweep worker's ring fills included, shares one view of each
+// peer's health and counts into this replica's stats. nil when the
+// replica has no identity.
+func (s *Server) Relay() *relay.Relay {
 	if s.peers == nil {
 		return nil
 	}
-	return s.peers.breakers
+	return s.peers.relay
 }
 
 // decodeJSON strictly decodes one JSON value from a size-capped body.

@@ -188,17 +188,7 @@ func (s *Server) handleSessionImport(w http.ResponseWriter, r *http.Request) {
 	if s.refuseWhileDraining(w) {
 		return
 	}
-	cur := uint64(0)
-	if s.peers != nil {
-		cur = s.peers.epoch()
-	}
-	if got, err := strconv.ParseUint(r.Header.Get(ringEpochHeader), 10, 64); err != nil || got != cur {
-		if s.peers != nil {
-			s.peers.skews.Add(1)
-		}
-		w.Header().Set(ringEpochHeader, strconv.FormatUint(cur, 10))
-		writeJSON(w, http.StatusConflict, Response{Error: fmt.Sprintf(
-			"service: ring epoch mismatch: import tagged %q, serving epoch %d", r.Header.Get(ringEpochHeader), cur)})
+	if !s.guardEpoch(w, r, "import") {
 		return
 	}
 	buf, release, err := s.readBody(w, r)
@@ -267,7 +257,7 @@ func (s *Server) redirectSession(w http.ResponseWriter, r *http.Request, id stri
 		if !s.draining.Load() {
 			return false
 		}
-		if owner, ok = s.peers.survivorOwner(sum); !ok {
+		if owner, ok = s.peers.state.Load().survivorOwner(sum); !ok {
 			return false
 		}
 	}

@@ -6,32 +6,23 @@ import (
 	"math"
 	"net/http"
 	"strconv"
-	"sync/atomic"
 	"time"
 
 	"oneport/internal/service/admit"
 )
 
 // Sweep traffic is the first class the scheduling service's brownout
-// ladder sheds, and the worker surface enforces the same verdict: when an
-// admission controller is installed (cmd/schedserve -worker -admission),
-// every inbound shard acquires ONE Background ticket for its summed job
-// cost before any lane starts. A shed answers 503 with a numeric
-// Retry-After, which the coordinator treats as backpressure — back off
-// and retry — never as a worker fault (no breaker trip, no retirement).
+// ladder sheds, and the worker surface enforces the same verdict: when a
+// Worker has an admission controller (cmd/schedserve -worker -admission
+// passes the service's), every inbound shard acquires ONE Background
+// ticket for its summed job cost before any lane starts. A shed answers
+// 503 with a numeric Retry-After, which the coordinator treats as
+// backpressure — back off and retry — never as a worker fault (no breaker
+// trip, no retirement).
 
 // sweepTenant is the accounting bucket all sweep-shard traffic charges;
 // it keeps fill load visible (and quotable) separately from API tenants.
 const sweepTenant = "sweep"
-
-// admitGate is the installed controller; nil means shards run ungated.
-var admitGate atomic.Pointer[admit.Controller]
-
-// EnableAdmission installs (or with nil, removes) the admission controller
-// gating this process's /sweep/run surface. cmd/schedserve passes the
-// scheduling service's controller so shards and cold /schedule runs
-// contend for the same slots under one brownout ladder.
-func EnableAdmission(c *admit.Controller) { admitGate.Store(c) }
 
 // jobCost mirrors the service's cost model (task count × heuristic
 // weight) for sweep jobs: a figure job runs the HEFT-vs-ILHA bundle at
@@ -56,14 +47,13 @@ func shardCost(jobs []Job) float64 {
 }
 
 // admitShard gates one inbound shard: returns a release func when
-// admitted (possibly a no-op when no controller is installed), or writes
-// the 503 + Retry-After itself and returns ok=false.
-func admitShard(w http.ResponseWriter, r *http.Request, jobs []Job) (func(), bool) {
-	c := admitGate.Load()
-	if c == nil {
+// admitted (a no-op when the worker has no controller), or writes the
+// 503 + Retry-After itself and returns ok=false.
+func (wk *Worker) admitShard(w http.ResponseWriter, r *http.Request, jobs []Job) (func(), bool) {
+	if wk.admission == nil {
 		return func() {}, true
 	}
-	tk, err := c.Acquire(r.Context(), sweepTenant, admit.Background, shardCost(jobs))
+	tk, err := wk.admission.Acquire(r.Context(), sweepTenant, admit.Background, shardCost(jobs))
 	if err != nil {
 		retry := 1
 		var se *admit.ShedError
@@ -88,27 +78,8 @@ const maxWorkerBackoffs = 10
 // Retry-After the worker advertised.
 const maxBackoffSleep = 30 * time.Second
 
-// overloadError marks a worker 503: explicit backpressure from a live
-// worker, carrying its Retry-After. It is deliberately NOT a breaker
-// failure — overload must never masquerade as worker death.
-type overloadError struct {
-	worker     string
-	retryAfter time.Duration
-	msg        string
-}
-
-func (e *overloadError) Error() string {
-	return fmt.Sprintf("sweep: worker %s overloaded (retry after %s): %s", e.worker, e.retryAfter, e.msg)
-}
-
-// backoff is the sleep before retrying: the worker's hint, clamped.
-func (e *overloadError) backoff() time.Duration {
-	d := e.retryAfter
-	if d < time.Second {
-		d = time.Second
-	}
-	if d > maxBackoffSleep {
-		d = maxBackoffSleep
-	}
-	return d
+// backoff is the sleep before retrying a worker that answered 503: its
+// Retry-After hint, clamped to [1s, maxBackoffSleep].
+func backoff(retryAfter time.Duration) time.Duration {
+	return min(max(retryAfter, time.Second), maxBackoffSleep)
 }

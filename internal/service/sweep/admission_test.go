@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
@@ -31,20 +32,17 @@ func TestJobCost(t *testing.T) {
 	}
 }
 
-// TestShardAdmissionGate: with a controller installed, a shard the quota
-// rejects is shed as 503 + numeric Retry-After before any lane starts;
-// removing the controller ungates the same shard.
+// TestShardAdmissionGate: with a controller, a shard the quota rejects is
+// shed as 503 + numeric Retry-After before any lane starts; a worker
+// without one serves the same shard.
 func TestShardAdmissionGate(t *testing.T) {
 	jobs := BSweepJobs("lu", 20, "oneport", 0, []int{4})
 	cost := shardCost(jobs)
 	// a sweep-tenant bucket too small for this shard: immediate rate shed
-	EnableAdmission(admit.New(admit.Config{
+	ts := httptest.NewServer(NewWorker(nil, admit.New(admit.Config{
 		Slots:  2,
 		Quotas: map[string]admit.Quota{sweepTenant: {Rate: 0.001, Burst: cost / 2}},
-	}))
-	t.Cleanup(func() { EnableAdmission(nil) })
-
-	ts := httptest.NewServer(Handler())
+	})).Handler())
 	defer ts.Close()
 	body, err := json.Marshal(&Shard{Jobs: jobs})
 	if err != nil {
@@ -62,8 +60,9 @@ func TestShardAdmissionGate(t *testing.T) {
 		t.Fatalf("shed Retry-After %q not a positive integer", resp.Header.Get("Retry-After"))
 	}
 
-	EnableAdmission(nil)
-	resp, err = http.Post(ts.URL+"/sweep/run", "application/json", bytes.NewReader(body))
+	open := httptest.NewServer(NewWorker(nil, nil).Handler())
+	defer open.Close()
+	resp, err = http.Post(open.URL+"/sweep/run", "application/json", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,12 +76,12 @@ func TestShardAdmissionGate(t *testing.T) {
 // The coordinator waits out the Retry-After and retries the same worker —
 // no requeue, no retirement, no breaker trip — and the sweep completes.
 func TestCoordinatorBacksOffOn503(t *testing.T) {
-	real := Handler()
+	real := NewWorker(nil, nil).Handler()
 	var calls atomic.Int32
 	worker := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if calls.Add(1) == 1 {
 			w.Header().Set("Retry-After", "1")
-			writeError(w, http.StatusServiceUnavailable, &overloadError{worker: "self", retryAfter: time.Second, msg: "drill"})
+			writeError(w, http.StatusServiceUnavailable, errors.New("sweep: drill overload"))
 			return
 		}
 		real.ServeHTTP(w, r)

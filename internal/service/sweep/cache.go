@@ -71,10 +71,6 @@ type resultCache struct {
 	core *lru.Core[[sha256.Size]byte, Result]
 }
 
-// workerCache is the per-process result cache: one worker process, one
-// cache, shared by every shard it serves.
-var workerCache = newResultCache(workerCacheSize)
-
 func newResultCache(max int) *resultCache {
 	return &resultCache{core: lru.New[[sha256.Size]byte, Result](max)}
 }
@@ -102,12 +98,4 @@ func (c *resultCache) add(key [sha256.Size]byte, res Result) {
 			return
 		}
 	}
-}
-
-// ResetWorkerCache empties the worker result cache; tests asserting exact
-// hit counts call it to start from a known state.
-func ResetWorkerCache() {
-	workerCache.mu.Lock()
-	defer workerCache.mu.Unlock()
-	workerCache.core.Reset()
 }

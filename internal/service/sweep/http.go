@@ -1,30 +1,21 @@
 package sweep
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
-	"strconv"
-	"strings"
 	"sync"
 	"time"
 
 	"oneport/internal/platform"
 	"oneport/internal/service/breaker"
+	"oneport/internal/service/relay"
 )
 
-// maxShardBytes bounds worker-side shard payloads; maxShardRespBytes and
-// maxShardErrorBytes bound how much of a worker's response the coordinator
-// will read — it trusts workers for content, not for size.
-const (
-	maxShardBytes      = 16 << 20
-	maxShardRespBytes  = 256 << 20
-	maxShardErrorBytes = 1 << 20
-)
+// maxShardBytes bounds worker-side shard payloads.
+const maxShardBytes = 16 << 20
 
 // Handler returns the worker-side HTTP surface of the sweep protocol:
 //
@@ -32,47 +23,46 @@ const (
 //
 // cmd/schedserve mounts it next to the scheduling service's handler when
 // started with -worker.
-func Handler() http.Handler {
+func (wk *Worker) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("POST /sweep/run", func(w http.ResponseWriter, r *http.Request) {
-		dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxShardBytes))
-		dec.DisallowUnknownFields()
-		var sh Shard
-		if err := dec.Decode(&sh); err != nil {
-			writeError(w, http.StatusBadRequest, fmt.Errorf("sweep: bad shard: %w", err))
-			return
-		}
-		if len(sh.Jobs) == 0 {
-			writeError(w, http.StatusBadRequest, fmt.Errorf("sweep: empty shard"))
-			return
-		}
-		local := r.Header.Get(sweepLocalHeader) != ""
-		if local {
-			// a ring fill from another worker: serve it only under the
-			// same membership epoch it was routed by (the service's
-			// no-cross-epoch-relay invariant), and never forward it again
-			got, err := strconv.ParseUint(r.Header.Get(fleetEpochHeader), 10, 64)
-			if cur := currentEpoch(); err != nil || got != cur {
-				w.Header().Set(fleetEpochHeader, strconv.FormatUint(cur, 10))
-				writeError(w, http.StatusConflict, fmt.Errorf(
-					"sweep: ring epoch mismatch: fill tagged %q, serving epoch %d", r.Header.Get(fleetEpochHeader), cur))
-				return
-			}
-		}
-		release, ok := admitShard(w, r, sh.Jobs)
-		if !ok {
-			return // admitShard answered 503 + Retry-After
-		}
-		defer release()
-		res, err := runShard(&sh, !local)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, err)
-			return
-		}
-		w.Header().Set("Content-Type", "application/json")
-		_ = json.NewEncoder(w).Encode(res)
-	})
+	mux.HandleFunc("POST /sweep/run", wk.serveShard)
 	return mux
+}
+
+func (wk *Worker) serveShard(w http.ResponseWriter, r *http.Request) {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxShardBytes))
+	dec.DisallowUnknownFields()
+	var sh Shard
+	if err := dec.Decode(&sh); err != nil {
+		writeError(w, http.StatusBadRequest, fmt.Errorf("sweep: bad shard: %w", err))
+		return
+	}
+	if len(sh.Jobs) == 0 {
+		writeError(w, http.StatusBadRequest, fmt.Errorf("sweep: empty shard"))
+		return
+	}
+	local := r.Header.Get(sweepLocalHeader) != ""
+	if local {
+		// a ring fill from another worker: serve it only under the same
+		// membership epoch it was routed by (the service's
+		// no-cross-epoch-relay invariant), and never forward it again
+		if err := wk.fleet.guard(w, r); err != nil {
+			writeError(w, http.StatusConflict, fmt.Errorf("sweep: %w", err))
+			return
+		}
+	}
+	release, ok := wk.admitShard(w, r, sh.Jobs)
+	if !ok {
+		return // admitShard answered 503 + Retry-After
+	}
+	defer release()
+	res, err := wk.runShard(r.Context(), &sh, !local)
+	if err != nil {
+		writeError(w, http.StatusBadRequest, err)
+		return
+	}
+	w.Header().Set("Content-Type", "application/json")
+	_ = json.NewEncoder(w).Encode(res)
 }
 
 func writeError(w http.ResponseWriter, status int, err error) {
@@ -88,16 +78,10 @@ type Coordinator struct {
 	Workers []string
 	// Client defaults to a client with a generous sweep-scale timeout.
 	Client *http.Client
-	// ChunkSize is the number of jobs per dispatch (default 1). Small
-	// chunks maximize stealing — a worker that finishes early immediately
-	// pulls more work — at one HTTP round-trip per chunk; raise it when
-	// jobs are tiny relative to the round-trip.
-	ChunkSize int
-	// Breakers, when non-nil, gates dispatch on each worker's circuit
-	// breaker (share the scheduling service's set so both paths agree on
-	// peer health): a worker whose breaker is open retires from the run
-	// without burning a round-trip, and every posted shard settles the
-	// breaker with its outcome.
+	// Breakers keeps each worker's circuit breaker across runs (nil: a
+	// fresh set per Run). Every dispatch goes through the relay, which
+	// settles the worker's breaker with its outcome; a worker whose breaker
+	// is open retires from the run without burning a round-trip.
 	Breakers *breaker.Set
 
 	// Stats describes the last Run: populated on return, read-only
@@ -121,7 +105,8 @@ func (c *Coordinator) client() *http.Client {
 	return &http.Client{Timeout: 10 * time.Minute}
 }
 
-// wsChunk is one dispatchable unit of a work-stealing run.
+// wsChunk is one dispatchable unit of a work-stealing run: one job, so a
+// worker that finishes early immediately pulls more work.
 type wsChunk struct {
 	jobs   []Job
 	failed int // distinct workers this chunk has failed on
@@ -170,18 +155,15 @@ func (c *Coordinator) Run(ctx context.Context, pl *platform.Platform, jobs []Job
 	if len(jobs) == 0 {
 		return nil, fmt.Errorf("sweep: no jobs")
 	}
-	chunk := c.ChunkSize
-	if chunk < 1 {
-		chunk = 1
+	chunks := make([]*wsChunk, len(jobs))
+	for i := range jobs {
+		chunks[i] = &wsChunk{jobs: jobs[i : i+1]}
 	}
-	var chunks []*wsChunk
-	for off := 0; off < len(jobs); off += chunk {
-		end := off + chunk
-		if end > len(jobs) {
-			end = len(jobs)
-		}
-		chunks = append(chunks, &wsChunk{jobs: jobs[off:end]})
+	brk := c.Breakers
+	if brk == nil {
+		brk = breaker.NewSet(breaker.Config{})
 	}
+	rl := relay.New(c.client(), brk)
 
 	r := &wsRun{
 		// every requeue retires a worker, so at most len(chunks) +
@@ -201,7 +183,7 @@ func (c *Coordinator) Run(ctx context.Context, pl *platform.Platform, jobs []Job
 		wg.Add(1)
 		go func(worker string) {
 			defer wg.Done()
-			c.pullChunks(ctx, worker, pl, r)
+			c.pullChunks(ctx, rl, worker, pl, r)
 		}(worker)
 	}
 	wg.Wait()
@@ -218,13 +200,13 @@ func (c *Coordinator) Run(ctx context.Context, pl *platform.Platform, jobs []Job
 // shedding load, so the chunk waits out the advertised Retry-After and
 // retries the same worker (bounded by maxWorkerBackoffs) before falling
 // back to the failover path.
-func (c *Coordinator) pullChunks(ctx context.Context, worker string, pl *platform.Platform, r *wsRun) {
+func (c *Coordinator) pullChunks(ctx context.Context, rl *relay.Relay, worker string, pl *platform.Platform, r *wsRun) {
 	for ch := range r.queue {
 		sh := &Shard{Platform: pl, Jobs: ch.jobs}
-		res, err := c.dispatch(ctx, worker, sh)
+		res, err := dispatch(ctx, rl, worker, sh)
 		for backoffs := 0; err != nil && ctx.Err() == nil && backoffs < maxWorkerBackoffs; backoffs++ {
-			var oe *overloadError
-			if !errors.As(err, &oe) {
+			var se *relay.StatusError
+			if !errors.As(err, &se) || se.Code != http.StatusServiceUnavailable {
 				break
 			}
 			r.mu.Lock()
@@ -236,9 +218,9 @@ func (c *Coordinator) pullChunks(ctx context.Context, worker string, pl *platfor
 			r.mu.Unlock()
 			select {
 			case <-ctx.Done():
-			case <-time.After(oe.backoff()):
+			case <-time.After(backoff(se.RetryAfter)):
 			}
-			res, err = c.dispatch(ctx, worker, sh)
+			res, err = dispatch(ctx, rl, worker, sh)
 		}
 		if err == nil {
 			r.mu.Lock()
@@ -277,73 +259,37 @@ func (c *Coordinator) pullChunks(ctx context.Context, worker string, pl *platfor
 	}
 }
 
-// dispatch is postShard behind the worker's circuit breaker: an open
-// breaker fast-fails the chunk (requeue + retire, no round-trip), and a
-// posted shard settles the breaker — Success on a clean result, Failure on
-// anything else unless the coordinator's own ctx expired (no verdict).
-func (c *Coordinator) dispatch(ctx context.Context, worker string, sh *Shard) (*ShardResult, error) {
-	if c.Breakers == nil {
-		return c.postShard(ctx, worker, sh)
-	}
-	if !c.Breakers.Allow(worker, time.Now()) {
-		return nil, fmt.Errorf("sweep: worker %s: circuit breaker open", worker)
-	}
-	res, err := c.postShard(ctx, worker, sh)
-	var oe *overloadError
-	switch {
-	case err == nil:
-		c.Breakers.Success(worker)
-	case ctx.Err() != nil:
-		c.Breakers.Cancel(worker)
-	case errors.As(err, &oe):
-		// a 503 proves the worker alive and answering — overload is
-		// backpressure, never a breaker fault
-		c.Breakers.Success(worker)
-	default:
-		c.Breakers.Failure(worker, time.Now())
-	}
-	return res, err
-}
-
-func (c *Coordinator) postShard(ctx context.Context, worker string, sh *Shard) (*ShardResult, error) {
+// dispatch posts one shard to a worker through the relay, which settles
+// the worker's breaker (see its verdict table). A 503 comes back as a
+// *relay.StatusError carrying the worker's Retry-After.
+func dispatch(ctx context.Context, rl *relay.Relay, worker string, sh *Shard) (*ShardResult, error) {
 	body, err := json.Marshal(sh)
 	if err != nil {
 		return nil, err
 	}
-	url := strings.TrimRight(worker, "/") + "/sweep/run"
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, url, bytes.NewReader(body))
+	rep, err := rl.Do(ctx, relay.Call{Peer: worker, Path: "/sweep/run", Body: body})
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("sweep: %w", err)
 	}
-	req.Header.Set("Content-Type", "application/json")
-	resp, err := c.client().Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		var e struct {
-			Error string `json:"error"`
-		}
-		_ = json.NewDecoder(io.LimitReader(resp.Body, maxShardErrorBytes)).Decode(&e)
-		if e.Error == "" {
-			e.Error = resp.Status
-		}
-		if resp.StatusCode == http.StatusServiceUnavailable {
-			retry := time.Second
-			if secs, err := strconv.Atoi(resp.Header.Get("Retry-After")); err == nil && secs > 0 {
-				retry = time.Duration(secs) * time.Second
-			}
-			return nil, &overloadError{worker: worker, retryAfter: retry, msg: e.Error}
-		}
-		return nil, fmt.Errorf("sweep: worker %s: %s", worker, e.Error)
-	}
-	var out ShardResult
-	if err := json.NewDecoder(io.LimitReader(resp.Body, maxShardRespBytes)).Decode(&out); err != nil {
+	var out *ShardResult
+	if _, err := rep.Read(func(b []byte) (err error) {
+		out, err = decodeResults(b, len(sh.Jobs))
+		return err
+	}); err != nil {
 		return nil, fmt.Errorf("sweep: worker %s: bad response: %w", worker, err)
 	}
-	if len(out.Results) != len(sh.Jobs) {
-		return nil, fmt.Errorf("sweep: worker %s answered %d results for %d jobs", worker, len(out.Results), len(sh.Jobs))
+	return out, nil
+}
+
+// decodeResults decodes a worker's answer, which must carry one result per
+// job sent.
+func decodeResults(b []byte, jobs int) (*ShardResult, error) {
+	var out ShardResult
+	if err := json.Unmarshal(b, &out); err != nil {
+		return nil, err
+	}
+	if len(out.Results) != jobs {
+		return nil, fmt.Errorf("%d results for %d jobs", len(out.Results), jobs)
 	}
 	return &out, nil
 }

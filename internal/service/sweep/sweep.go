@@ -15,6 +15,7 @@
 package sweep
 
 import (
+	"context"
 	"fmt"
 	"runtime"
 	"sort"
@@ -26,6 +27,7 @@ import (
 	"oneport/internal/heuristics"
 	"oneport/internal/platform"
 	"oneport/internal/sched"
+	"oneport/internal/service/admit"
 	"oneport/internal/testbeds"
 )
 
@@ -100,43 +102,36 @@ func BSweepJobs(testbed string, size int, model string, scan int, bs []int) []Jo
 	return jobs
 }
 
-// Partition splits jobs round-robin into n shards (some possibly empty
-// shards are dropped). Round-robin keeps shards balanced when job cost
-// grows with the problem size, which it does for every figure sweep. The
-// coordinator no longer partitions up front — it feeds jobs to workers as
-// they finish (work-stealing; see Coordinator.Run) — but Partition remains
-// for callers that want static shards, e.g. to POST /sweep/run directly.
-func Partition(jobs []Job, n int) [][]Job {
-	if n < 1 {
-		n = 1
-	}
-	shards := make([][]Job, 0, n)
-	buckets := make([][]Job, n)
-	for i, j := range jobs {
-		buckets[i%n] = append(buckets[i%n], j)
-	}
-	for _, b := range buckets {
-		if len(b) > 0 {
-			shards = append(shards, b)
-		}
-	}
-	return shards
+// Worker is one sweep worker: the job-result cache every shard it serves
+// shares, the fleet it fills cold jobs from (nil: every miss computes
+// locally) and the admission controller its shards queue on (nil:
+// ungated). cmd/schedserve builds one per -worker process.
+type Worker struct {
+	cache     *resultCache
+	fleet     *Fleet
+	admission *admit.Controller
+}
+
+// NewWorker returns a worker with an empty result cache.
+func NewWorker(fleet *Fleet, admission *admit.Controller) *Worker {
+	return &Worker{cache: newResultCache(workerCacheSize), fleet: fleet, admission: admission}
 }
 
 // RunShard executes a shard's jobs on this process, fanning them out across
 // the CPUs with one pooled scheduler scratch per lane. Jobs whose content
 // hash is in the worker result cache are served from it (counted in
-// ShardResult.CacheHits); the rest are computed and inserted. Per-job
-// failures are reported in Result.Err; the shard itself only fails on a
-// malformed platform (which poisons every job anyway).
-func RunShard(sh *Shard) (*ShardResult, error) {
-	return runShard(sh, true)
+// ShardResult.CacheHits); the rest are filled from the fleet or computed,
+// and inserted. ctx bounds the fleet fills only. Per-job failures are
+// reported in Result.Err; the shard itself only fails on a malformed
+// platform (which poisons every job anyway).
+func (wk *Worker) RunShard(ctx context.Context, sh *Shard) (*ShardResult, error) {
+	return wk.runShard(ctx, sh, true)
 }
 
 // runShard is RunShard with the fleet switch explicit: ring fills received
 // from other workers run with allowFleet false so a shard is never
 // forwarded twice.
-func runShard(sh *Shard, allowFleet bool) (*ShardResult, error) {
+func (wk *Worker) runShard(ctx context.Context, sh *Shard, allowFleet bool) (*ShardResult, error) {
 	pl := sh.Platform
 	if pl == nil {
 		pl = platform.Paper()
@@ -167,7 +162,7 @@ func runShard(sh *Shard, allowFleet bool) (*ShardResult, error) {
 				if i >= len(sh.Jobs) {
 					return
 				}
-				out.Results[i] = runJobCached(sh.Jobs[i], pl, tune, allowFleet, &hits, &ringFills)
+				out.Results[i] = wk.runJobCached(ctx, sh.Jobs[i], pl, tune, allowFleet, &hits, &ringFills)
 			}
 		}()
 	}
@@ -178,27 +173,27 @@ func runShard(sh *Shard, allowFleet bool) (*ShardResult, error) {
 }
 
 // runJobCached serves a job from the worker result cache when its content
-// hash is present; on a miss it fills from the key's owning worker when a
-// fleet ring is installed (adopting the owner's result into the local
+// hash is present; on a miss it fills from the key's owning worker when
+// the worker has a fleet (adopting the owner's result into the local
 // cache), and computes locally otherwise. Jobs are pure functions of (job
 // fields, platform) — Result.Job.ID excluded — so a cached or fleet-filled
 // value is the byte-identical outcome of re-running the job.
-func runJobCached(job Job, pl *platform.Platform, tune *heuristics.Tuning, allowFleet bool, hits, ringFills *atomic.Int64) Result {
+func (wk *Worker) runJobCached(ctx context.Context, job Job, pl *platform.Platform, tune *heuristics.Tuning, allowFleet bool, hits, ringFills *atomic.Int64) Result {
 	key := jobKey(job, pl)
-	if res, ok := workerCache.get(key, job); ok {
+	if res, ok := wk.cache.get(key, job); ok {
 		hits.Add(1)
 		return res
 	}
 	if allowFleet {
-		if res, ok := fleetFill(key, job, pl); ok {
+		if res, ok := wk.fleet.fill(ctx, key, job, pl); ok {
 			ringFills.Add(1)
-			workerCache.add(key, res)
+			wk.cache.add(key, res)
 			return res
 		}
 	}
 	res := runJob(job, pl, tune)
 	if res.Err == "" {
-		workerCache.add(key, res)
+		wk.cache.add(key, res)
 	}
 	return res
 }

@@ -2,24 +2,30 @@ package sweep
 
 import (
 	"context"
+	"errors"
 	"net/http"
 	"net/http/httptest"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"oneport/internal/exp"
 	"oneport/internal/platform"
 	"oneport/internal/sched"
+	"oneport/internal/service/breaker"
 )
 
-// twoWorkers starts two independent in-process workers (each serving the
-// real /sweep/run handler, exactly what `schedserve -worker` mounts) and
-// returns a coordinator over both.
+// twoWorkers mounts one in-process Worker (the real /sweep/run handler,
+// exactly what `schedserve -worker` mounts) behind two listeners and
+// returns a coordinator over both. The two lanes share one result cache,
+// as two processes never do; TestDistinctWorkersShareNoHits pins the
+// separate-worker case.
 func twoWorkers(t *testing.T) *Coordinator {
 	t.Helper()
-	w1 := httptest.NewServer(Handler())
+	h := NewWorker(nil, nil).Handler()
+	w1 := httptest.NewServer(h)
 	t.Cleanup(w1.Close)
-	w2 := httptest.NewServer(Handler())
+	w2 := httptest.NewServer(h)
 	t.Cleanup(w2.Close)
 	return &Coordinator{Workers: []string{w1.URL, w2.URL}}
 }
@@ -42,9 +48,6 @@ func TestShardedFigureMatchesSingleProcess(t *testing.T) {
 
 	co := twoWorkers(t)
 	jobs := FigureJobs(fig, "oneport", sizes)
-	if got := len(Partition(jobs, len(co.Workers))); got != 2 {
-		t.Fatalf("expected 2 shards, got %d", got)
-	}
 	results, err := co.Run(context.Background(), nil, jobs)
 	if err != nil {
 		t.Fatal(err)
@@ -112,7 +115,7 @@ func TestCoordinatorFailover(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	live := httptest.NewServer(Handler())
+	live := httptest.NewServer(NewWorker(nil, nil).Handler())
 	defer live.Close()
 	dead := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
 		http.Error(w, "worker on fire", http.StatusInternalServerError)
@@ -150,13 +153,64 @@ func TestCoordinatorAllWorkersDown(t *testing.T) {
 	}
 }
 
+// TestCoordinator4xxKeepsBreakerClosed: a worker that refuses a shard with
+// a 400 is alive and answering — the chunk fails over and the worker
+// retires from this run, but its circuit breaker stays closed.
+func TestCoordinator4xxKeepsBreakerClosed(t *testing.T) {
+	refusing := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
+		writeError(w, http.StatusBadRequest, errors.New("sweep: drill refusal"))
+	}))
+	defer refusing.Close()
+	live := httptest.NewServer(NewWorker(nil, nil).Handler())
+	defer live.Close()
+
+	br := breaker.NewSet(breaker.Config{Jitter: -1})
+	co := &Coordinator{Workers: []string{refusing.URL, live.URL}, Breakers: br}
+	jobs := BSweepJobs("lu", 20, "oneport", 0, []int{2, 4, 7})
+	if _, err := co.Run(context.Background(), nil, jobs); err != nil {
+		t.Fatal(err)
+	}
+	if got := br.Get(refusing.URL).CurrentState(time.Now()); got != breaker.Closed {
+		t.Fatalf("breaker %v after a worker 400, want closed", got)
+	}
+}
+
+// TestCoordinatorRetriesTransportError: a dispatch whose connection drops
+// before the answer is sent once more to the same worker, so a sweep on a
+// single worker survives the blip without a requeue.
+func TestCoordinatorRetriesTransportError(t *testing.T) {
+	real := NewWorker(nil, nil).Handler()
+	var dropped atomic.Bool
+	worker := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if !dropped.Swap(true) {
+			panic(http.ErrAbortHandler) // close the connection unanswered
+		}
+		real.ServeHTTP(w, r)
+	}))
+	defer worker.Close()
+
+	br := breaker.NewSet(breaker.Config{Jitter: -1})
+	co := &Coordinator{Workers: []string{worker.URL}, Breakers: br}
+	jobs := BSweepJobs("lu", 20, "oneport", 0, []int{2, 4})
+	results, err := co.Run(context.Background(), nil, jobs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(results) != len(jobs) || co.Stats.Requeues != 0 {
+		t.Fatalf("%d results for %d jobs, %d requeues", len(results), len(jobs), co.Stats.Requeues)
+	}
+	if got := br.Get(worker.URL).CurrentState(time.Now()); got != breaker.Closed {
+		t.Fatalf("breaker %v after a retried dispatch, want closed", got)
+	}
+}
+
 // TestMergeRejectsIncomplete pins the determinism guard: a lost or
 // duplicated job must fail the merge instead of silently skewing numbers.
 func TestMergeRejectsIncomplete(t *testing.T) {
 	fig, _ := exp.FigureByID("fig8")
 	jobs := FigureJobs(fig, "oneport", []int{20, 40})
 	sh := Shard{Jobs: jobs}
-	res, err := RunShard(&sh)
+	res, err := NewWorker(nil, nil).RunShard(context.Background(), &sh)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,9 +272,9 @@ func TestWorkStealingMidSweepFailure(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	live := httptest.NewServer(Handler())
+	live := httptest.NewServer(NewWorker(nil, nil).Handler())
 	defer live.Close()
-	real := Handler()
+	real := NewWorker(nil, nil).Handler()
 	var served atomic.Int64
 	flaky := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if served.Add(1) > 1 {
@@ -258,12 +312,10 @@ func TestWorkStealingMidSweepFailure(t *testing.T) {
 }
 
 // TestRepeatedSweepWorkerCacheHits runs the same sweep twice against the
-// same workers: the second run must be served from the worker result caches
-// (every job a hit) and still merge to the identical series.
+// same worker: the second run must be served from the worker result cache
+// (every job a hit, whichever listener takes it) and still merge to the
+// identical series.
 func TestRepeatedSweepWorkerCacheHits(t *testing.T) {
-	ResetWorkerCache()
-	defer ResetWorkerCache()
-
 	fig, err := exp.FigureByID("fig9")
 	if err != nil {
 		t.Fatal(err)
@@ -342,5 +394,34 @@ func TestWorkerCacheKeyedByContent(t *testing.T) {
 	}
 	if jobKey(base, small) == key {
 		t.Fatal("changing the platform did not change the key")
+	}
+}
+
+// TestDistinctWorkersShareNoHits: two Workers in one process keep separate
+// result caches, like two processes — a job only the first ever ran is a
+// miss on the second.
+func TestDistinctWorkersShareNoHits(t *testing.T) {
+	w1 := httptest.NewServer(NewWorker(nil, nil).Handler())
+	defer w1.Close()
+	w2 := httptest.NewServer(NewWorker(nil, nil).Handler())
+	defer w2.Close()
+	jobs := BSweepJobs("lu", 20, "oneport", 0, []int{4})
+
+	run := func(url string) int {
+		t.Helper()
+		co := &Coordinator{Workers: []string{url}}
+		if _, err := co.Run(context.Background(), nil, jobs); err != nil {
+			t.Fatal(err)
+		}
+		return co.Stats.CacheHits
+	}
+	if got := run(w1.URL); got != 0 {
+		t.Fatalf("cold job on worker 1: %d cache hits, want 0", got)
+	}
+	if got := run(w1.URL); got != 1 {
+		t.Fatalf("repeat on worker 1: %d cache hits, want 1", got)
+	}
+	if got := run(w2.URL); got != 0 {
+		t.Fatalf("worker 2 reported %d cache hits for a job only worker 1 ran", got)
 	}
 }
