@@ -135,33 +135,21 @@ func dlsRun(g *graph.Graph, pl *platform.Platform, model sched.Model, tune *Tuni
 	f := attachFrontier(s)
 	rel := newReleaser(g)
 	ready := newReadyList(sl)
-	for _, v := range rel.initial() {
-		ready.push(v)
-	}
 	np := pl.NumProcs()
 	sc := f.scan
+	sc.resizeNext(g.NumNodes())
+	sc.admit(s, ready, sl, rel.initial())
 	// Every step computes the exact argmax over all (ready task, processor)
 	// pairs by the total order (DL desc, task id asc, proc id asc) — exactly
 	// the pair the former ascending-id strict-improvement scan kept — at
-	// any probe parallelism, so schedules never depend on it. A light step
-	// scores the fresh and compute-refreshed entries, then visits the
+	// any probe parallelism, so schedules never depend on it. The ready list
+	// holds one task per class of interchangeable ones (frontierScan.admit).
+	// A step scores the fresh and compute-refreshed entries, then visits the
 	// staleFull pairs in a bound pass: a pair whose DL upper bound
 	// sl − boundStart + Δ cannot beat the incumbent under the full tie-break
 	// can never be the argmax and is skipped without a probe; the rest are
-	// re-probed exactly once. A heavy step is one where the bound barely
-	// skips anything (a fork-join chunk: every pair's message crosses the
-	// same source port, so each commit re-inflates every stale bound); it
-	// re-probes the whole frontier in one ensure — through the worker pool
-	// when the run allows it — and scores exact entries only. Heaviness is
-	// re-sampled every 16th step in case the frontier's shape changes.
-	heavy := false
-	step := 0
+	// re-probed exactly once.
 	for !ready.empty() {
-		step++
-		light := !heavy || step%16 == 0
-		if !light {
-			f.ensure(ready.items())
-		}
 		bestV, bestP, bestDL := -1, -1, math.Inf(-1)
 		better := func(dl float64, v, q int) bool {
 			return dl > bestDL || (dl == bestDL && (v < bestV || (v == bestV && q < bestP)))
@@ -172,14 +160,12 @@ func dlsRun(g *graph.Graph, pl *platform.Platform, model sched.Model, tune *Tuni
 			w := g.Weight(v)
 			for q := 0; q < np; q++ {
 				e := &row[q]
-				if light {
-					switch f.staleKind(v, q, e) {
-					case staleCompute:
-						f.fastRefresh(v, q, e)
-					case staleFull:
-						stale = append(stale, probePair{v: int32(v), p: int32(q)})
-						continue
-					}
+				switch f.staleKind(v, q, e) {
+				case staleCompute:
+					f.fastRefresh(v, q, e)
+				case staleFull:
+					stale = append(stale, probePair{v: int32(v), p: int32(q)})
+					continue
 				}
 				dl := sl[v] - e.start + (w*ef - pl.ExecTime(w, q))
 				if better(dl, v, q) {
@@ -187,35 +173,31 @@ func dlsRun(g *graph.Graph, pl *platform.Platform, model sched.Model, tune *Tuni
 				}
 			}
 		}
-		if light {
-			refreshed := 0
-			predsOf := -1
-			var preds []predInfo
-			for _, pr := range stale {
-				v, q := int(pr.v), int(pr.p)
-				e := &f.entries[v*np+q]
-				w := g.Weight(v)
-				delta := w*ef - pl.ExecTime(w, q)
-				if !better(sl[v]-f.boundStart(e)+delta, v, q) {
-					continue
-				}
-				if predsOf != v {
-					preds, predsOf = s.preds(v), v
-				}
-				refreshed++
-				f.refresh(v, q, preds)
-				if dl := sl[v] - e.start + delta; better(dl, v, q) {
-					bestV, bestP, bestDL = v, q, dl
-				}
+		predsOf := -1
+		var preds []predInfo
+		for _, pr := range stale {
+			v, q := int(pr.v), int(pr.p)
+			e := &f.entries[v*np+q]
+			w := g.Weight(v)
+			delta := w*ef - pl.ExecTime(w, q)
+			if !better(sl[v]-f.boundStart(e)+delta, v, q) {
+				continue
 			}
-			heavy = len(stale) >= 64 && refreshed*4 >= len(stale)*3
+			if predsOf != v {
+				preds, predsOf = s.preds(v), v
+			}
+			f.refresh(v, q, preds)
+			if dl := sl[v] - e.start + delta; better(dl, v, q) {
+				bestV, bestP, bestDL = v, q, dl
+			}
 		}
 		sc.stale = stale
 		s.commit(bestV, f.placementFor(bestV, bestP))
 		ready.remove(bestV)
-		for _, nv := range rel.release(bestV) {
-			ready.push(nv)
+		if next := sc.next[bestV]; next >= 0 {
+			ready.push(int(next))
 		}
+		sc.admit(s, ready, sl, rel.release(bestV))
 	}
 	if !rel.done() {
 		return nil, graph.ErrCycle

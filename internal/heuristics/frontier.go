@@ -112,6 +112,91 @@ type frontierScan struct {
 	jobs      []frontierJob
 	free      []*frontier // recycled per-branch clones (Exhaustive)
 	wg        sync.WaitGroup
+
+	// DLS's classes of interchangeable tasks (admit): next[v] is the
+	// member after v in its class, in ascending id order, or -1; heads is
+	// the scratch of one release batch's classes
+	next  []int32
+	heads []twinHead
+}
+
+// twinHead is the lowest-id member v of one class found in a release
+// batch: tail is the class's last member so far, and predArena[off:off+n]
+// v's predecessor list (n < 0: not gathered yet).
+type twinHead struct {
+	v, tail int32
+	off, n  int32
+}
+
+// resizeNext sizes the class chains for a graph of n tasks. Entries are
+// written when their task is admitted, so old contents need no clearing.
+func (sc *frontierScan) resizeNext(n int) {
+	if cap(sc.next) < n {
+		sc.next = make([]int32, n)
+	}
+	sc.next = sc.next[:n]
+}
+
+// admit makes a release batch ready for DLS's scan. Tasks with the same
+// weight, static level and predecessor list — (processor, finish, data)
+// in probe order — are interchangeable: a probe of one on any processor is
+// the probe of the other, so both have the same DL on every processor, and
+// under the (DL desc, task asc, processor asc) order only the lowest-id
+// member of such a class can be the argmax. admit pushes that member alone
+// and chains the others behind it in ascending id order (next), so the
+// scan reads one row per class and committing a member makes the next one
+// ready. Classes are found within the batch only, comparing weight and
+// static level before predecessor lists; the batch is sorted in place.
+func (sc *frontierScan) admit(s *state, ready *readyList, sl []float64, batch []int) {
+	slices.Sort(batch)
+	heads, arena := sc.heads[:0], sc.predArena[:0]
+	for _, u := range batch {
+		sc.next[u] = -1
+		w := s.g.Weight(u)
+		off, n := int32(0), int32(-1)
+		joined := false
+		for i := range heads {
+			h := &heads[i]
+			if s.g.Weight(int(h.v)) != w || sl[h.v] != sl[u] {
+				continue
+			}
+			if h.n < 0 {
+				h.off = int32(len(arena))
+				arena = s.predsInto(arena, int(h.v))
+				h.n = int32(len(arena)) - h.off
+			}
+			if n < 0 {
+				off = int32(len(arena))
+				arena = s.predsInto(arena, u)
+				n = int32(len(arena)) - off
+			}
+			if samePreds(arena[h.off:h.off+h.n], arena[off:off+n]) {
+				sc.next[h.tail] = int32(u)
+				h.tail = int32(u)
+				joined = true
+				break
+			}
+		}
+		if !joined {
+			heads = append(heads, twinHead{v: int32(u), tail: int32(u), off: off, n: n})
+			ready.push(u)
+		}
+	}
+	sc.heads, sc.predArena = heads, arena
+}
+
+// samePreds reports whether two predecessor lists match in (processor,
+// finish, data), element by element: the probe inputs of a task.
+func samePreds(a, b []predInfo) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i].proc != b[i].proc || a[i].finish != b[i].finish || a[i].data != b[i].data {
+			return false
+		}
+	}
+	return true
 }
 
 // probePair is one invalid (task, processor) pair queued for re-probing;

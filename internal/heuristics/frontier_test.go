@@ -3,6 +3,8 @@ package heuristics
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -104,6 +106,15 @@ func TestDLSFrontierDeterminism(t *testing.T) {
 		for _, model := range []sched.Model{sched.OnePort, sched.UniPort} {
 			t.Run(fmt.Sprintf("%s-paper/%s", c.name, model), func(t *testing.T) {
 				check(t, c.g, platform.Paper(), model)
+			})
+		}
+	}
+	// DLS scans one row per class of interchangeable tasks: these are the
+	// instances full of such classes
+	for _, c := range twinCases(t) {
+		for _, model := range sched.Models() {
+			t.Run(fmt.Sprintf("twins/%s/%s", c.name, model), func(t *testing.T) {
+				check(t, c.g, c.pl, model)
 			})
 		}
 	}
@@ -294,15 +305,13 @@ func TestFrontierNeverServesStale(t *testing.T) {
 	}
 }
 
-// TestFrontierBoundSound is the soundness property of the engine's pruning
-// bound: along randomized commit walks — random tasks committed to random
-// processors, so messages queue on ports in every order — every entry
-// probed in this run must keep boundStart and boundFinish at or below what
-// a fresh probe returns after every later commit, whether the entry is
-// stale or not, and a valid entry must carry the fresh start exactly. The
-// walks refresh random rows only now and then, so entries go stale across
-// many commits and through compute-only refreshes.
-func TestFrontierBoundSound(t *testing.T) {
+// boundPlatforms are the platforms of the bound properties: the paper
+// platform, a 16-processor heterogeneous one, the routed line and 70
+// processors (two read-set mask words).
+func boundPlatforms(t *testing.T) []struct {
+	name string
+	pl   *platform.Platform
+} {
 	rng := rand.New(rand.NewSource(7))
 	cycles16 := make([]float64, 16)
 	link16 := make([][]float64, 16)
@@ -330,7 +339,7 @@ func TestFrontierBoundSound(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	platforms := []struct {
+	return []struct {
 		name string
 		pl   *platform.Platform
 	}{
@@ -339,16 +348,36 @@ func TestFrontierBoundSound(t *testing.T) {
 		{"line4", linePlatform(4)},
 		{"wide70", wide70},
 	}
+}
+
+// TestFrontierBoundSound is the soundness property of both pruning bounds:
+// along randomized commit walks — random tasks committed to random
+// processors, so messages queue on ports in every order — every entry
+// probed in this run must keep the engine's boundStart and boundFinish at
+// or below what a fresh probe returns after every later commit, whether
+// the entry is stale or not, and a valid entry must carry the fresh start
+// exactly; and bestEFT's finishBound of every ready task on every
+// processor must stay at or below the fresh finish. The walks refresh
+// random rows only now and then, so entries go stale across many commits
+// and through compute-only refreshes. Append-only placement runs both
+// ways: it moves the compute gap search of both bounds.
+func TestFrontierBoundSound(t *testing.T) {
 	checks, loose := 0, 0
-	for _, c := range platforms {
-		for _, model := range sched.Models() {
-			for seed := int64(1); seed <= 3; seed++ {
-				t.Run(fmt.Sprintf("%s/%s/seed%d", c.name, model, seed), func(t *testing.T) {
-					g := testbeds.RandomLayered(seed, 8, 8, 10, 10)
-					n, l := boundWalk(t, g, c.pl, model, rand.New(rand.NewSource(seed)))
-					checks += n
-					loose += l
-				})
+	for _, appendOnly := range []bool{false, true} {
+		prefix := ""
+		if appendOnly {
+			prefix = "append-only/"
+		}
+		for _, c := range boundPlatforms(t) {
+			for _, model := range sched.Models() {
+				for seed := int64(1); seed <= 3; seed++ {
+					t.Run(fmt.Sprintf("%s%s/%s/seed%d", prefix, c.name, model, seed), func(t *testing.T) {
+						g := testbeds.RandomLayered(seed, 8, 8, 10, 10)
+						n, l := boundWalk(t, g, c.pl, model, appendOnly, rand.New(rand.NewSource(seed)))
+						checks += n
+						loose += l
+					})
+				}
 			}
 		}
 	}
@@ -423,14 +452,15 @@ func TestExactSums(t *testing.T) {
 }
 
 // boundWalk runs one randomized commit walk for TestFrontierBoundSound and
-// returns how many entries it checked and how many of their bounds were
-// strictly below the fresh start.
-func boundWalk(t *testing.T, g *graph.Graph, pl *platform.Platform, model sched.Model, rng *rand.Rand) (checks, loose int) {
+// returns how many engine entries it checked and how many of their bounds
+// were strictly below the fresh start.
+func boundWalk(t *testing.T, g *graph.Graph, pl *platform.Platform, model sched.Model, appendOnly bool, rng *rand.Rand) (checks, loose int) {
 	t.Helper()
 	s, err := newState(g, pl, model, &Tuning{ProbeParallelism: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
+	s.appendOnly = appendOnly
 	f := attachFrontier(s)
 	check := newProbeBuf(pl.NumProcs())
 	rel := newReleaser(g)
@@ -446,11 +476,14 @@ func boundWalk(t *testing.T, g *graph.Graph, pl *platform.Platform, model sched.
 			preds := s.preds(v)
 			row := f.row(v)
 			for p := 0; p < np; p++ {
+				fresh := s.probeWith(check, v, p, preds)
+				if fb := s.finishBound(g.Weight(v), p, preds); fb > fresh.finish {
+					t.Fatalf("task %d proc %d: finishBound %g above the fresh finish %g", v, p, fb, fresh.finish)
+				}
 				e := &row[p]
 				if e.asOf < f.epoch {
 					continue // never probed this run
 				}
-				fresh := s.probeWith(check, v, p, preds)
 				checks++
 				if bs := f.boundStart(e); bs > fresh.start {
 					t.Fatalf("task %d proc %d: boundStart %g above the fresh start %g", v, p, bs, fresh.start)
@@ -473,6 +506,94 @@ func boundWalk(t *testing.T, g *graph.Graph, pl *platform.Platform, model sched.
 		ready = append(ready, rel.release(v)...)
 	}
 	return checks, loose
+}
+
+// TestBestEFTMatchesReference is the differential pin of the bound-seeded
+// scan: along randomized commit walks like boundWalk's, bestEFT must
+// return exactly the placement of the plain loop over every candidate
+// (bestEFTReference) — processor, start, finish and every hop — for all
+// processors and for random candidate subsets (ILHA's CapStep2 passes
+// ascending ones; shuffled ones check that ties go by position, not by
+// processor), under every model, on the bound platforms, with append-only
+// on and off, at probe parallelism 1 and 8 with the fan-out forced onto
+// nearly every scan.
+func TestBestEFTMatchesReference(t *testing.T) {
+	oldGrain := probeParallelGrain
+	probeParallelGrain = 2
+	defer func() { probeParallelGrain = oldGrain }()
+
+	scans := 0
+	for _, c := range boundPlatforms(t) {
+		for _, model := range sched.Models() {
+			for _, appendOnly := range []bool{false, true} {
+				for _, par := range []int{1, 8} {
+					t.Run(fmt.Sprintf("%s/%s/append=%v/par%d", c.name, model, appendOnly, par), func(t *testing.T) {
+						for seed := int64(1); seed <= 2; seed++ {
+							g := testbeds.RandomLayered(seed, 8, 8, 10, 10)
+							scans += eftWalk(t, g, c.pl, model, appendOnly, par, rand.New(rand.NewSource(seed)))
+						}
+					})
+				}
+			}
+		}
+	}
+	t.Logf("%d scans matched the reference", scans)
+}
+
+// eftWalk runs one randomized commit walk for TestBestEFTMatchesReference
+// and returns how many scans it compared.
+func eftWalk(t *testing.T, g *graph.Graph, pl *platform.Platform, model sched.Model, appendOnly bool, par int, rng *rand.Rand) (scans int) {
+	t.Helper()
+	s, err := newState(g, pl, model, &Tuning{ProbeParallelism: par})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.appendOnly = appendOnly
+	rel := newReleaser(g)
+	var ready []int
+	ready = append(ready, rel.initial()...)
+	np := pl.NumProcs()
+	var keep []sched.CommEvent // the reference placement's comms, out of probe scratch
+	for len(ready) > 0 {
+		for _, v := range ready {
+			subset := rng.Perm(np)[:1+rng.Intn(np)]
+			if rng.Intn(2) == 0 {
+				slices.Sort(subset)
+			}
+			for _, cands := range [][]int{nil, subset} {
+				want := stashPlacement(&keep, bestEFTReference(s, v, cands))
+				got := s.bestEFT(v, cands)
+				if err := samePlacement(want, got); err != nil {
+					t.Fatalf("task %d, candidates %v: %v", v, cands, err)
+				}
+				scans++
+			}
+		}
+		i := rng.Intn(len(ready))
+		v := ready[i]
+		ready = append(ready[:i], ready[i+1:]...)
+		s.commit(v, s.probe(v, rng.Intn(np), s.preds(v)))
+		ready = append(ready, rel.release(v)...)
+	}
+	return scans
+}
+
+// samePlacement reports how two placements differ, or nil when processor,
+// start, finish and every comm event and hop agree exactly.
+func samePlacement(want, got placement) error {
+	if want.proc != got.proc || want.start != got.start || want.finish != got.finish {
+		return fmt.Errorf("placement P%d [%g, %g), want P%d [%g, %g)",
+			got.proc, got.start, got.finish, want.proc, want.start, want.finish)
+	}
+	if len(want.comms) != len(got.comms) {
+		return fmt.Errorf("%d comm events, want %d", len(got.comms), len(want.comms))
+	}
+	for i := range want.comms {
+		if !reflect.DeepEqual(want.comms[i], got.comms[i]) {
+			return fmt.Errorf("comm %d: %+v, want %+v", i, got.comms[i], want.comms[i])
+		}
+	}
+	return nil
 }
 
 // TestFrontierSharedPathInvalidation is the hand-built multi-hop case: two

@@ -55,6 +55,10 @@ type probeBuf struct {
 	// stash for the best placement found so far by this buf's owner: comm
 	// events copied out of comms so later probes can safely clobber it
 	best []sched.CommEvent
+
+	// probes counts the probes run with this buf; the tests read the sum
+	// over a run's buffers through its Scratch
+	probes int
 }
 
 // gapCursor pairs a sched.Cursor with the probe generation it belongs to.

@@ -12,9 +12,11 @@ import (
 
 // This file preserves the pre-frontier-engine implementations of DLS, BIL
 // and the Exhaustive search verbatim (modulo renamed ready-list plumbing) as
-// test oracles: the engine-backed implementations must produce byte-identical
-// schedules, and the *_Reference benchmarks in frontier_bench_test.go keep
-// the before/after performance ratio visible. One deliberate deviation: the
+// test oracles, together with CPOP and the plain earliest-finish scan that
+// the bound-seeded bestEFT replaced: the engine-backed and pruned
+// implementations must produce byte-identical schedules, and the
+// *_Reference benchmarks in frontier_bench_test.go keep the before/after
+// performance ratio visible. One deliberate deviation: the
 // pre-engine Exhaustive could report completion after a mid-search budget
 // cutoff (the post-recursion return never set the exhausted flag); that bug
 // fix is mirrored here — it moves the budget check to the top of each
@@ -70,8 +72,32 @@ func dlsReference(g *graph.Graph, pl *platform.Platform, model sched.Model) (*sc
 	return s.sch, nil
 }
 
+// bestEFTReference is the original earliest-finish scan: every candidate
+// probed in position order with the sequential probe path, the first
+// strictly earliest finish kept — no bounds, no skipping, no fan-out. The
+// placement's comms live in the state's stash, valid until its next stash.
+func bestEFTReference(s *state, v int, candidates []int) placement {
+	preds := s.preds(v)
+	n := len(candidates)
+	if candidates == nil {
+		n = s.pl.NumProcs()
+	}
+	best := placement{proc: -1}
+	for j := 0; j < n; j++ {
+		p := j
+		if candidates != nil {
+			p = candidates[j]
+		}
+		pl := s.probe(v, p, preds)
+		if best.proc == -1 || pl.finish < best.finish {
+			best = s.stash(pl)
+		}
+	}
+	return best
+}
+
 // bilReference is the original BIL loop: level computation plus a plain
-// sequential bestEFT per popped task.
+// sequential earliest-finish scan per popped task.
 func bilReference(g *graph.Graph, pl *platform.Platform, model sched.Model) (*sched.Schedule, error) {
 	s, err := newState(g, pl, model, &Tuning{ProbeParallelism: 1})
 	if err != nil {
@@ -129,7 +155,7 @@ func bilReference(g *graph.Graph, pl *platform.Platform, model sched.Model) (*sc
 	}
 	for !ready.empty() {
 		v := ready.pop()
-		best := s.bestEFT(v, nil)
+		best := bestEFTReference(s, v, nil)
 		s.commit(v, best)
 		for _, nv := range rel.release(v) {
 			ready.push(nv)
@@ -230,8 +256,8 @@ func exhaustiveReference(g *graph.Graph, pl *platform.Platform, model sched.Mode
 }
 
 // cpopReference is the original CPOP loop: critical-path tasks probe their
-// pinned processor, every other popped task runs a plain sequential bestEFT
-// over all processors — no caching, no bound skipping.
+// pinned processor, every other popped task runs a plain sequential
+// earliest-finish scan over all processors — no caching, no bound skipping.
 func cpopReference(g *graph.Graph, pl *platform.Platform, model sched.Model) (*sched.Schedule, error) {
 	s, err := newState(g, pl, model, &Tuning{ProbeParallelism: 1})
 	if err != nil {
@@ -295,7 +321,7 @@ func cpopReference(g *graph.Graph, pl *platform.Platform, model sched.Model) (*s
 		if onCP[v] {
 			pl0 = s.probe(v, cpProc, s.preds(v))
 		} else {
-			pl0 = s.bestEFT(v, nil)
+			pl0 = bestEFTReference(s, v, nil)
 		}
 		s.commit(v, pl0)
 		for _, nv := range rel.release(v) {

@@ -66,6 +66,11 @@ type state struct {
 	jobs      []probeJob
 	predCount []int // per-proc counting scratch (ILHA Step 1)
 
+	// bestEFT scratch: bounds[j] is candidate position j's finish bound,
+	// live the positions that survive the seed probe
+	bounds []float64
+	live   []int
+
 	// frontier, when non-nil, is the frontier-probe engine attached by the
 	// whole-frontier heuristics (DLS, Exhaustive); commit notifies it
 	// so cached probe entries are invalidated. fmem parks an engine lent by
@@ -83,7 +88,14 @@ type state struct {
 // workerBest is one worker's contribution to a parallel bestEFT reduction.
 type workerBest struct {
 	pl  placement
-	pos int // candidate position of pl, -1 when the worker saw none
+	pos int // candidate position of pl
+}
+
+// beatenBy reports whether finish f at candidate position j beats wb under
+// the (finish, position) order: the first minimum the plain
+// earliest-finish loop keeps.
+func (wb *workerBest) beatenBy(f float64, j int) bool {
+	return f < wb.pl.finish || (f == wb.pl.finish && j < wb.pos)
 }
 
 // poolJob is one unit of probe work dispatched to the shared worker pool.
@@ -101,20 +113,21 @@ type poolJob interface {
 // dispatching goroutine can re-raise it after the fan-out barrier.
 type poolFault struct{ val any }
 
-// probeJob is one slice of a parallel bestEFT — candidate positions
-// [lo, hi) — dispatched to a pool worker.
+// probeJob is one slice of a parallel bestEFT — the surviving candidate
+// positions live[lo:hi] — dispatched to a pool worker.
 type probeJob struct {
 	s          *state
 	v          int
 	candidates []int
 	preds      []predInfo
 	lo, hi, wi int
+	seed       workerBest
 	res        []workerBest
 	done       *sync.WaitGroup
 }
 
 func (j *probeJob) run() {
-	j.res[j.wi] = j.s.probeSlice(j.v, j.candidates, j.preds, j.lo, j.hi, j.wi)
+	j.res[j.wi] = j.s.probeSlice(j.v, j.candidates, j.preds, j.lo, j.hi, j.wi, j.seed)
 	j.done.Done()
 }
 
@@ -484,6 +497,7 @@ func (s *state) probe(v, proc int, preds []predInfo) placement {
 // placement's comms point into b (valid until b's next probe).
 func (s *state) probeWith(b *probeBuf, v, proc int, preds []predInfo) placement {
 	b.reset()
+	b.probes++
 	ready := 0.0
 	for _, p := range preds {
 		if p.proc == proc {
@@ -587,53 +601,116 @@ func (s *state) ownHops(hops []sched.Hop) []sched.Hop {
 	return s.hopArena[n0:len(s.hopArena):len(s.hopArena)]
 }
 
-// bestEFT probes every processor in candidates (all processors when nil) and
-// returns the placement with the earliest finish time, breaking ties by the
-// lowest candidate position — with ascending candidates that is the lowest
-// processor index, the paper's convention.
+// candidateAt returns the processor at candidate position j.
+func candidateAt(candidates []int, j int) int {
+	if candidates == nil {
+		return j
+	}
+	return candidates[j]
+}
+
+// finishBound returns a lower bound on the finish a probe of a task of
+// weight w on processor p would return, without probing. Each predecessor
+// contributes its finish, plus, when it is remote, its route's hop
+// durations — the same CommTime terms placeComm adds, in the same order; a
+// gap search on p's committed compute timeline from the latest of them
+// (after the append-only horizon) plus the execution time gives the bound.
+// It is sound because a hop never starts before its release, a gap search
+// never returns earlier from a later start or on a superset of busy
+// intervals (the probe searches the committed timeline plus its own
+// overlay), and the same float sums, added in the same order, round
+// monotonically. A search from at or past the timeline's last busy end
+// returns its start, so that case skips it.
+func (s *state) finishBound(w float64, p int, preds []predInfo) float64 {
+	ready := 0.0
+	for i := range preds {
+		pr := &preds[i]
+		t := pr.finish
+		if pr.proc != p {
+			procs := s.path(pr.proc, p)
+			for k := 0; k+1 < len(procs); k++ {
+				t += s.pl.CommTime(pr.data, procs[k], procs[k+1])
+			}
+		}
+		if t > ready {
+			ready = t
+		}
+	}
+	dur := s.pl.ExecTime(w, p)
+	if last := s.compute[p].LastEnd(); last > ready {
+		if s.appendOnly {
+			ready = last
+		} else {
+			ready = s.compute[p].EarliestGap(ready, dur)
+		}
+	}
+	return ready + dur
+}
+
+// bestEFT returns the placement of task v with the earliest finish time
+// over the processors in candidates (all processors when nil), breaking
+// ties by the lowest candidate position — with ascending candidates that is
+// the lowest processor index, the paper's convention.
 //
-// When the probe work is large enough, candidates are probed concurrently by
-// a small worker fan-out. This is safe because probes only read the
-// committed timelines and write worker-private scratch, and it is exact:
-// every candidate's placement is a pure function of the committed state, so
-// the (finish, position)-minimum reduction returns byte-identical schedules
-// to the sequential loop.
+// It probes only the candidates that can win. finishBound bounds every
+// candidate's finish; the candidate with the smallest bound (ties by
+// position) is probed first, as the seed, and any other, in position
+// order, only while its bound can still beat the incumbent under
+// (finish, position). A candidate whose bound cannot beat the incumbent
+// cannot be the answer, so the result is exactly the placement the plain
+// loop over every candidate returns.
+//
+// When the surviving probe work is large enough, the survivors are probed
+// concurrently by a small worker fan-out. This is safe because probes only
+// read the committed timelines and write worker-private scratch, and it is
+// exact: every candidate's placement is a pure function of the committed
+// state, so the (finish, position)-minimum reduction returns
+// byte-identical schedules to the sequential scan.
 func (s *state) bestEFT(v int, candidates []int) placement {
 	preds := s.preds(v)
 	n := len(candidates)
 	if candidates == nil {
 		n = s.pl.NumProcs()
 	}
-	w := s.par
-	if w > n {
-		w = n
+	if cap(s.bounds) < n {
+		s.bounds = make([]float64, n)
 	}
-	if w > 1 && (len(preds)+1)*n >= probeParallelGrain {
-		return s.bestEFTParallel(v, candidates, preds, n, w)
+	bounds := s.bounds[:n]
+	weight := s.g.Weight(v)
+	seed := 0
+	for j := range bounds {
+		bounds[j] = s.finishBound(weight, candidateAt(candidates, j), preds)
+		if bounds[j] < bounds[seed] {
+			seed = j
+		}
 	}
-	// sequential reference path: allocation-free in steady state
 	b := s.buf(0)
-	best := placement{proc: -1}
-	for j := 0; j < n; j++ {
-		p := j
-		if candidates != nil {
-			p = candidates[j]
-		}
-		pl := s.probeWith(b, v, p, preds)
-		if best.proc == -1 || pl.finish < best.finish {
-			best = stashPlacement(&b.best, pl)
+	best := workerBest{pl: s.probeWith(b, v, candidateAt(candidates, seed), preds), pos: seed}
+	live := s.live[:0]
+	for j, bd := range bounds {
+		if j != seed && best.beatenBy(bd, j) {
+			live = append(live, j)
 		}
 	}
-	return best
+	s.live = live
+	if len(live) == 0 {
+		return best.pl // its comms may stay in probe scratch: no probe follows
+	}
+	best.pl = stashPlacement(&b.best, best.pl)
+	if w := min(s.par, len(live)); w > 1 && (len(preds)+1)*len(live) >= probeParallelGrain {
+		return s.bestEFTParallel(v, candidates, preds, best, w)
+	}
+	return s.probeSlice(v, candidates, preds, 0, len(live), 0, best).pl
 }
 
-// bestEFTParallel fans the candidate probes of one task out to w workers.
-// Worker wi probes the contiguous candidate positions [wi·n/w, (wi+1)·n/w)
-// in ascending order and keeps its local best under the same strict
-// earliest-finish comparison as the sequential loop; the final reduction
-// takes the minimum by (finish, candidate position), which is exactly the
-// placement the sequential loop would have kept.
-func (s *state) bestEFTParallel(v int, candidates []int, preds []predInfo, n, w int) placement {
+// bestEFTParallel fans the surviving candidates of one task out to w
+// workers. Worker wi scans the contiguous survivors live[wi·m/w :
+// (wi+1)·m/w] in position order from the seed as its incumbent, exactly as
+// the sequential scan does; the final reduction takes the minimum by
+// (finish, position), which is the placement the sequential scan keeps.
+// A slice that beats the seed may overwrite its stash in bufs[0]: the seed
+// is then no longer the answer.
+func (s *state) bestEFTParallel(v int, candidates []int, preds []predInfo, seed workerBest, w int) placement {
 	for len(s.results) < w {
 		s.results = append(s.results, workerBest{})
 	}
@@ -642,44 +719,40 @@ func (s *state) bestEFTParallel(v int, candidates []int, preds []predInfo, n, w 
 	for len(s.jobs) < w {
 		s.jobs = append(s.jobs, probeJob{})
 	}
+	m := len(s.live)
 	jobs := poolJobs()
 	s.wg.Add(w - 1)
 	for wi := 1; wi < w; wi++ {
 		s.jobs[wi] = probeJob{
 			s: s, v: v, candidates: candidates, preds: preds,
-			lo: wi * n / w, hi: (wi + 1) * n / w, wi: wi, res: res, done: &s.wg,
+			lo: wi * m / w, hi: (wi + 1) * m / w, wi: wi, seed: seed, res: res, done: &s.wg,
 		}
 		jobs <- &s.jobs[wi]
 	}
-	res[0] = s.probeSlice(v, candidates, preds, 0, n/w, 0)
+	res[0] = s.probeSlice(v, candidates, preds, 0, m/w, 0, seed)
 	s.wg.Wait()
 	s.refault()
-	best := workerBest{pos: -1}
-	for _, r := range res {
-		if r.pos < 0 {
-			continue
-		}
-		if best.pos < 0 || r.pl.finish < best.pl.finish ||
-			(r.pl.finish == best.pl.finish && r.pos < best.pos) {
+	best := res[0]
+	for _, r := range res[1:] {
+		if best.beatenBy(r.pl.finish, r.pos) {
 			best = r
 		}
 	}
 	return best.pl
 }
 
-// probeSlice probes candidate positions [lo, hi) of task v with worker wi's
-// buf and returns the slice's best placement under the strict
-// earliest-finish comparison, stashed into that buf.
-func (s *state) probeSlice(v int, candidates []int, preds []predInfo, lo, hi, wi int) workerBest {
+// probeSlice scans the surviving candidate positions live[lo:hi] of task v
+// with worker wi's buf, from incumbent lb: a survivor is probed only while
+// its bound can still beat the incumbent, and a probe that beats it is
+// stashed into that buf.
+func (s *state) probeSlice(v int, candidates []int, preds []predInfo, lo, hi, wi int, lb workerBest) workerBest {
 	b := s.bufs[wi]
-	lb := workerBest{pos: -1}
-	for j := lo; j < hi; j++ {
-		p := j
-		if candidates != nil {
-			p = candidates[j]
+	for _, j := range s.live[lo:hi] {
+		if !lb.beatenBy(s.bounds[j], j) {
+			continue
 		}
-		pl := s.probeWith(b, v, p, preds)
-		if lb.pos < 0 || pl.finish < lb.pl.finish {
+		pl := s.probeWith(b, v, candidateAt(candidates, j), preds)
+		if lb.beatenBy(pl.finish, j) {
 			lb = workerBest{pl: stashPlacement(&b.best, pl), pos: j}
 		}
 	}

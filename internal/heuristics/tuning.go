@@ -48,16 +48,19 @@ type Tuning struct {
 }
 
 // Scratch owns the probe scratch memory (per-worker probe buffers, the
-// predecessor buffer, the parallel-reduction slots and, for the heuristics
-// that use one, the frontier-probe engine) that a scheduler state grows
-// during a run. Reusing one Scratch across successive runs on platforms of
-// the same size avoids re-allocating all of it every time.
+// predecessor buffer, the parallel-reduction slots, bestEFT's candidate
+// bounds and, for the heuristics that use one, the frontier-probe engine)
+// that a scheduler state grows during a run. Reusing one Scratch across
+// successive runs on platforms of the same size avoids re-allocating all of
+// it every time.
 // A Scratch may only feed one run at a time; see Tuning.
 type Scratch struct {
 	procs    int // processor count the buffers are sized for
 	bufs     []*probeBuf
 	predBuf  []predInfo
 	results  []workerBest
+	bounds   []float64
+	live     []int
 	frontier *frontier
 }
 
@@ -70,15 +73,17 @@ func NewScratch() *Scratch { return &Scratch{} }
 // the first is still running can never alias the same buffers (it simply
 // grows fresh ones). Buffers sized for a different processor count are
 // dropped — probeBuf slices are indexed by processor. The frontier engine
-// sizes itself to any (graph, platform) pair, so it is always handed over.
+// and bestEFT's bounds size themselves to any (graph, platform) pair, so
+// they are always handed over.
 func (sc *Scratch) lend(s *state) {
 	if sc.procs == s.pl.NumProcs() && sc.bufs != nil {
 		s.bufs = sc.bufs
 		s.predBuf = sc.predBuf[:0]
 		s.results = sc.results[:0]
 	}
+	s.bounds, s.live = sc.bounds, sc.live
 	s.fmem = sc.frontier
-	sc.bufs, sc.predBuf, sc.results, sc.frontier = nil, nil, nil, nil
+	sc.bufs, sc.predBuf, sc.results, sc.bounds, sc.live, sc.frontier = nil, nil, nil, nil, nil, nil
 }
 
 // reclaim returns a finished state's (possibly grown) scratch buffers to
@@ -95,6 +100,7 @@ func (t *Tuning) reclaim(s *state) {
 	sc.bufs = s.bufs
 	sc.predBuf = s.predBuf
 	sc.results = s.results
+	sc.bounds, sc.live = s.bounds, s.live
 	// the run either attached the lent engine (s.frontier) or never touched
 	// it (still parked in s.fmem); recover whichever is live, unbinding the
 	// dead state so a pooled Scratch does not pin its timelines and schedule

@@ -1,0 +1,218 @@
+package heuristics
+
+import (
+	"math/rand"
+	"testing"
+
+	"oneport/internal/graph"
+	"oneport/internal/platform"
+	"oneport/internal/sched"
+	"oneport/internal/testbeds"
+)
+
+// seededPlatform returns a fully connected platform of p processors whose
+// cycle-times cycle through {3, 5, 6, 10, 15} in seeded order, with seeded
+// symmetric link costs in {0.5, 1, 2}: the recipe of the benchmark's
+// generated platforms.
+func seededPlatform(t *testing.T, seed int64, p int) *platform.Platform {
+	t.Helper()
+	rng := rand.New(rand.NewSource(seed))
+	cycles := make([]float64, p)
+	for i := range cycles {
+		cycles[i] = []float64{3, 5, 6, 10, 15}[i%5]
+	}
+	rng.Shuffle(p, func(i, j int) { cycles[i], cycles[j] = cycles[j], cycles[i] })
+	link := make([][]float64, p)
+	for q := range link {
+		link[q] = make([]float64, p)
+	}
+	for q := 0; q < p; q++ {
+		for r := q + 1; r < p; r++ {
+			c := []float64{0.5, 1, 2}[rng.Intn(3)]
+			link[q][r], link[r][q] = c, c
+		}
+	}
+	pl, err := platform.New(cycles, link)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return pl
+}
+
+// twinCase is one instance of the DLS twin-class suite.
+type twinCase struct {
+	name string
+	g    *graph.Graph
+	pl   *platform.Platform
+}
+
+// twinCases are the instances where DLS's ready list holds classes of
+// interchangeable tasks (frontierScan.admit): the paper's fork-join on 32
+// processors (300 twins released by one commit), a fork with repeated
+// (weight, data) children, a bag of equal independent tasks, the two
+// tasks of probeOrderTwins, whose predecessor lists hold the same
+// (processor, finish, data) multiset in a different probe order, and LU
+// after session-style grafts (new tasks fed by one tail task, some with
+// equal weights).
+func twinCases(t *testing.T) []twinCase {
+	t.Helper()
+	var weights, data []float64
+	for i := 0; i < 24; i++ {
+		weights = append(weights, []float64{2, 3, 2, 5}[i%4])
+		data = append(data, []float64{4, 4, 1}[i%3])
+	}
+	fork, err := testbeds.Fork(1, weights, data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bag := graph.New(30)
+	for i := 0; i < 30; i++ {
+		w := 4.0
+		if i%7 == 3 {
+			w = 6
+		}
+		bag.AddNode(w, "")
+	}
+	order, _ := probeOrderTwins()
+	grafted := testbeds.LU(20, 10)
+	rng := rand.New(rand.NewSource(3))
+	n := grafted.NumNodes()
+	for i := 0; i < 24; i++ {
+		tail := n - 1 - rng.Intn(4)
+		v := grafted.AddNode(float64(1+rng.Intn(3)), "graft")
+		grafted.MustEdge(tail, v, 10*grafted.Weight(tail))
+	}
+	return []twinCase{
+		{"forkjoin300-p32", testbeds.ForkJoin(300, 10), seededPlatform(t, 1, 32)},
+		{"fork-repeated", fork, platform.Paper()},
+		{"bag30", bag, platform.Paper()},
+		{"probe-order", order, platform.Paper()},
+		{"lu20-grafts", grafted, platform.Paper()},
+	}
+}
+
+// probeOrderTwins builds two tasks x and y of equal weight whose
+// predecessors finish together on P0 and P1 with the same data volumes,
+// but in the opposite probe order: x's list is (P0, 3), (P1, 4) and y's
+// (P1, 4), (P0, 3). It returns the graph and the placements that realize
+// that on a 4-processor homogeneous platform, with z's message busying
+// P2's reception from 5 on.
+func probeOrderTwins() (*graph.Graph, []struct{ task, proc int }) {
+	g := graph.New(8)
+	a := g.AddNode(0, "a") // P0
+	b := g.AddNode(0, "b") // P1
+	c := g.AddNode(0, "c") // P1
+	e := g.AddNode(0, "e") // P0
+	z := g.AddNode(5, "z") // P3, done at 5
+	k := g.AddNode(1, "k") // P2: z's 25-long message busies P2's reception over [5, 30)
+	x := g.AddNode(2, "x")
+	y := g.AddNode(2, "y")
+	g.MustEdge(a, x, 3)
+	g.MustEdge(b, x, 4)
+	g.MustEdge(c, y, 4)
+	g.MustEdge(e, y, 3)
+	g.MustEdge(z, k, 25)
+	return g, []struct{ task, proc int }{{a, 0}, {b, 1}, {c, 1}, {e, 0}, {z, 3}, {k, 2}}
+}
+
+// TestTwinClassesKeepProbeOrder pins why admit compares predecessor lists
+// in probe order, not as multisets: on P2, x's first message takes the
+// receive port until 3 and pushes its second past the busy stretch
+// (ready 34), while y's longer first message fits before it and its
+// shorter second is pushed (ready 33). Merging the two would score y by
+// x's row. It also checks that equal tasks do merge behind the lowest id.
+func TestTwinClassesKeepProbeOrder(t *testing.T) {
+	g, placed := probeOrderTwins()
+	pl, err := platform.Homogeneous(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := newState(g, pl, sched.OnePort, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, x := range placed {
+		s.commit(x.task, s.probe(x.task, x.proc, s.preds(x.task)))
+	}
+	x, y := 6, 7
+	px, py := s.probe(x, 2, s.preds(x)).finish, s.probe(y, 2, s.preds(y)).finish
+	if px != 36 || py != 35 {
+		t.Fatalf("finishes on P2: x %g, y %g; want 36 and 35", px, py)
+	}
+	sl, err := priorities(g, pl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sl[x] != sl[y] || g.Weight(x) != g.Weight(y) {
+		t.Fatal("x and y must agree in weight and static level")
+	}
+	sc := &frontierScan{}
+	sc.resizeNext(g.NumNodes())
+	ready := newReadyList(sl)
+	sc.admit(s, ready, sl, []int{y, x})
+	if ready.len() != 2 || sc.next[x] != -1 || sc.next[y] != -1 {
+		t.Fatalf("x and y merged: ready %v, next %v", ready.items(), sc.next)
+	}
+
+	// equal independent tasks are twins: one class behind the lowest id,
+	// chained in ascending id order whatever the batch order
+	bag := graph.New(4)
+	for i := 0; i < 4; i++ {
+		bag.AddNode(2, "")
+	}
+	if s, err = newState(bag, pl, sched.OnePort, nil); err != nil {
+		t.Fatal(err)
+	}
+	if sl, err = priorities(bag, pl); err != nil {
+		t.Fatal(err)
+	}
+	sc.resizeNext(bag.NumNodes())
+	ready = newReadyList(sl)
+	sc.admit(s, ready, sl, []int{3, 1, 0, 2})
+	if ready.len() != 1 || ready.items()[0] != 0 {
+		t.Fatalf("ready %v, want the class head 0 alone", ready.items())
+	}
+	for v, want := range []int32{1, 2, 3, -1} {
+		if sc.next[v] != want {
+			t.Fatalf("next[%d] = %d, want %d", v, sc.next[v], want)
+		}
+	}
+}
+
+// scratchProbes returns the probes run with a Scratch's buffers so far.
+func scratchProbes(sc *Scratch) int {
+	n := 0
+	for _, b := range sc.bufs {
+		n += b.probes
+	}
+	return n
+}
+
+// TestProbeCounts pins the probes two runs issue at probe parallelism 1.
+// The counts move only when the scan changes what it probes, never with
+// speed; a change here must be deliberate. Before the bound-seeded
+// bestEFT and DLS's twin classes, these runs issued 285,133 (DLS) and
+// 18,290 (HEFT) probes.
+func TestProbeCounts(t *testing.T) {
+	cases := []struct {
+		name string
+		run  func(tune *Tuning) (*sched.Schedule, error)
+		want int
+	}{
+		{"dls/forkjoin300/p32/one-port", func(tune *Tuning) (*sched.Schedule, error) {
+			return dlsRun(testbeds.ForkJoin(300, 10), seededPlatform(t, 1, 32), sched.OnePort, tune)
+		}, 9887},
+		{"heft/lu60/paper/one-port", func(tune *Tuning) (*sched.Schedule, error) {
+			return heftRun(testbeds.LU(60, 10), platform.Paper(), sched.OnePort, false, tune)
+		}, 12119},
+	}
+	for _, c := range cases {
+		sc := NewScratch()
+		if _, err := c.run(&Tuning{ProbeParallelism: 1, Scratch: sc}); err != nil {
+			t.Fatal(err)
+		}
+		if got := scratchProbes(sc); got != c.want {
+			t.Errorf("%s: %d probes, want %d", c.name, got, c.want)
+		}
+	}
+}
