@@ -516,13 +516,14 @@ func boundWalk(t *testing.T, g *graph.Graph, pl *platform.Platform, model sched.
 // ascending ones; shuffled ones check that ties go by position, not by
 // processor), under every model, on the bound platforms, with append-only
 // on and off, at probe parallelism 1 and 8 with the fan-out forced onto
-// nearly every scan.
+// nearly every scan. The same walks check the probe's cut at the incumbent
+// (checkCuts) on the random subsets.
 func TestBestEFTMatchesReference(t *testing.T) {
 	oldGrain := probeParallelGrain
 	probeParallelGrain = 2
 	defer func() { probeParallelGrain = oldGrain }()
 
-	scans := 0
+	var n eftCounts
 	for _, c := range boundPlatforms(t) {
 		for _, model := range sched.Models() {
 			for _, appendOnly := range []bool{false, true} {
@@ -530,19 +531,32 @@ func TestBestEFTMatchesReference(t *testing.T) {
 					t.Run(fmt.Sprintf("%s/%s/append=%v/par%d", c.name, model, appendOnly, par), func(t *testing.T) {
 						for seed := int64(1); seed <= 2; seed++ {
 							g := testbeds.RandomLayered(seed, 8, 8, 10, 10)
-							scans += eftWalk(t, g, c.pl, model, appendOnly, par, rand.New(rand.NewSource(seed)))
+							eftWalk(t, g, c.pl, model, appendOnly, par, rand.New(rand.NewSource(seed)), &n)
 						}
 					})
 				}
 			}
 		}
 	}
-	t.Logf("%d scans matched the reference", scans)
+	t.Logf("%d scans matched the reference; %d incumbent probes cut, %d ran on; %d incumbents tied below, %d above",
+		n.scans, n.cut, n.ran, n.tieBelow, n.tieAbove)
+	if n.cut == 0 || n.ran == 0 || n.tieBelow == 0 || n.tieAbove == 0 {
+		t.Fatal("the walks left a case of the incumbent cut unchecked")
+	}
 }
 
-// eftWalk runs one randomized commit walk for TestBestEFTMatchesReference
-// and returns how many scans it compared.
-func eftWalk(t *testing.T, g *graph.Graph, pl *platform.Platform, model sched.Model, appendOnly bool, par int, rng *rand.Rand) (scans int) {
+// eftCounts tallies what the eftWalks compared: bestEFT scans matched
+// against the reference, incumbent probes that were cut or ran on, and
+// incumbents whose finish equals the candidate's at a lower or a higher
+// position.
+type eftCounts struct {
+	scans, cut, ran    int
+	tieBelow, tieAbove int
+}
+
+// eftWalk runs one randomized commit walk for TestBestEFTMatchesReference,
+// adding what it compared to n.
+func eftWalk(t *testing.T, g *graph.Graph, pl *platform.Platform, model sched.Model, appendOnly bool, par int, rng *rand.Rand, n *eftCounts) {
 	t.Helper()
 	s, err := newState(g, pl, model, &Tuning{ProbeParallelism: par})
 	if err != nil {
@@ -554,6 +568,7 @@ func eftWalk(t *testing.T, g *graph.Graph, pl *platform.Platform, model sched.Mo
 	ready = append(ready, rel.initial()...)
 	np := pl.NumProcs()
 	var keep []sched.CommEvent // the reference placement's comms, out of probe scratch
+	check := newProbeBuf(np)
 	for len(ready) > 0 {
 		for _, v := range ready {
 			subset := rng.Perm(np)[:1+rng.Intn(np)]
@@ -566,8 +581,9 @@ func eftWalk(t *testing.T, g *graph.Graph, pl *platform.Platform, model sched.Mo
 				if err := samePlacement(want, got); err != nil {
 					t.Fatalf("task %d, candidates %v: %v", v, cands, err)
 				}
-				scans++
+				n.scans++
 			}
+			checkCuts(t, s, check, v, subset, rng, n)
 		}
 		i := rng.Intn(len(ready))
 		v := ready[i]
@@ -575,7 +591,68 @@ func eftWalk(t *testing.T, g *graph.Graph, pl *platform.Platform, model sched.Mo
 		s.commit(v, s.probe(v, rng.Intn(np), s.preds(v)))
 		ready = append(ready, rel.release(v)...)
 	}
-	return scans
+}
+
+// checkCuts checks probeAgainst for task v over the candidate list cands.
+// Every candidate is probed against incumbents taken from other
+// candidates' full probes: a random one and, when there is one, the first
+// with an equal finish at a lower position and at a higher one, the two
+// sides of the position tie. A probe that was cut must have a full probe
+// that does not beat its incumbent; a probe that was not cut must return
+// the full probe's placement, hop for hop.
+func checkCuts(t *testing.T, s *state, b *probeBuf, v int, cands []int, rng *rand.Rand, n *eftCounts) {
+	t.Helper()
+	m := len(cands)
+	if m < 2 {
+		return
+	}
+	preds := s.preds(v)
+	fulls := make([]placement, m)
+	for j := range fulls {
+		var keep []sched.CommEvent
+		fulls[j] = stashPlacement(&keep, s.probeWith(b, v, candidateAt(cands, j), preds))
+	}
+	for j := 0; j < m; j++ {
+		k := rng.Intn(m - 1)
+		if k >= j {
+			k++
+		}
+		incs := []int{k}
+		below, above := -1, -1
+		for i := range m {
+			if i != j && fulls[i].finish == fulls[j].finish {
+				if i < j && below < 0 {
+					below = i
+				} else if i > j && above < 0 {
+					above = i
+				}
+			}
+		}
+		if below >= 0 {
+			incs = append(incs, below)
+			n.tieBelow++
+		}
+		if above >= 0 {
+			incs = append(incs, above)
+			n.tieAbove++
+		}
+		for _, k := range incs {
+			inc := workerBest{pl: fulls[k], pos: k}
+			got, cut := s.probeAgainst(b, v, candidateAt(cands, j), preds, &inc, j)
+			if cut {
+				n.cut++
+				if inc.beatenBy(fulls[j].finish, j) {
+					t.Fatalf("task %d, candidates %v: position %d cut against position %d (finish %g), but its full probe finishes at %g",
+						v, cands, j, k, fulls[k].finish, fulls[j].finish)
+				}
+				continue
+			}
+			n.ran++
+			if err := samePlacement(fulls[j], got); err != nil {
+				t.Fatalf("task %d, candidates %v: position %d against position %d ran on to %v", v, cands, j, k, err)
+			}
+		}
+	}
 }
 
 // samePlacement reports how two placements differ, or nil when processor,

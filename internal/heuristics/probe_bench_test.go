@@ -10,50 +10,78 @@ import (
 	"oneport/internal/testbeds"
 )
 
-// BenchmarkProbeMicro isolates one probe call — the innermost unit of every
-// heuristic's hot loop — on a half-scheduled mid-size LU instance, so the
-// zero-allocation claim of the scratch-buffer probe path is directly visible
-// in allocs/op.
-func BenchmarkProbeMicro(b *testing.B) {
+// halfScheduledLU schedules the first half of LU(30) on the paper platform
+// HEFT-style, under tune, so the returned task — the next ready one with at
+// least two predecessors — has committed predecessors spread over several
+// processors and busy timelines to search.
+func halfScheduledLU(tb testing.TB, tune *Tuning) (*state, int) {
+	tb.Helper()
 	pl := platform.Paper()
 	g := testbeds.LU(30, 10)
-	s, err := newState(g, pl, sched.OnePort, nil)
+	s, err := newState(g, pl, sched.OnePort, tune)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
-	// Schedule the first half HEFT-style so the probed task has committed
-	// predecessors spread over several processors and busy timelines to
-	// search; then benchmark probing the next ready task.
 	prio, err := priorities(g, pl)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	ready := newReadyList(prio)
 	rel := newReleaser(g)
 	for _, v := range rel.initial() {
 		ready.push(v)
 	}
-	target := -1
 	for !ready.empty() {
 		v := ready.pop()
 		if rl := rel.placed; rl > g.NumNodes()/2 && len(s.preds(v)) >= 2 {
-			target = v
-			break
+			return s, v
 		}
 		s.commit(v, s.bestEFT(v, nil))
 		for _, nv := range rel.release(v) {
 			ready.push(nv)
 		}
 	}
-	if target < 0 {
-		b.Fatal("no suitable half-scheduled task found")
-	}
+	tb.Fatal("no suitable half-scheduled task found")
+	return nil, -1
+}
+
+// BenchmarkProbeMicro isolates one probe call — the innermost unit of every
+// heuristic's hot loop — on a half-scheduled mid-size LU instance, so the
+// zero-allocation claim of the scratch-buffer probe path is directly visible
+// in allocs/op.
+func BenchmarkProbeMicro(b *testing.B) {
+	s, target := halfScheduledLU(b, nil)
 	preds := s.preds(target)
 	buf := s.buf(0)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s.probeWith(buf, target, i%pl.NumProcs(), preds)
+		s.probeWith(buf, target, i%s.pl.NumProcs(), preds)
+	}
+}
+
+// BenchmarkBestEFT times one whole earliest-finish scan — bounds, seed
+// probe, survivor probes cut at the incumbent — on BenchmarkProbeMicro's
+// task, at probe parallelism 1.
+func BenchmarkBestEFT(b *testing.B) {
+	s, target := halfScheduledLU(b, &Tuning{ProbeParallelism: 1})
+	b.ReportAllocs()
+	for b.Loop() {
+		s.bestEFT(target, nil)
+	}
+}
+
+// TestBestEFTAllocs is the allocation gate of the scan: once its scratch
+// (bounds, surviving positions, the stash) has grown, a bestEFT on
+// BenchmarkProbeMicro's task at probe parallelism 1 allocates nothing.
+func TestBestEFTAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("-race instrumentation inflates allocation counts")
+	}
+	s, target := halfScheduledLU(t, &Tuning{ProbeParallelism: 1})
+	s.bestEFT(target, nil)
+	if got := testing.AllocsPerRun(100, func() { s.bestEFT(target, nil) }); got != 0 {
+		t.Fatalf("warm bestEFT: %v allocations per scan, want 0", got)
 	}
 }
 

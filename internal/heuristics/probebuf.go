@@ -56,9 +56,10 @@ type probeBuf struct {
 	// events copied out of comms so later probes can safely clobber it
 	best []sched.CommEvent
 
-	// probes counts the probes run with this buf; the tests read the sum
-	// over a run's buffers through its Scratch
-	probes int
+	// probes counts the probes run with this buf (a cut probe included) and
+	// msgs the messages they placed; the tests read the sums over a run's
+	// buffers through its Scratch
+	probes, msgs int
 }
 
 // gapCursor pairs a sched.Cursor with the probe generation it belongs to.

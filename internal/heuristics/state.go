@@ -367,6 +367,7 @@ func (s *state) path(q, r int) []int {
 // event and its reservations to the buf and returns the arrival time.
 func (s *state) placeComm(b *probeBuf, u, v int, data float64, q, r int, ready float64) float64 {
 	ev := b.appendComm(u, v, data)
+	b.msgs++
 	t := ready
 	// alone lower-bounds where the current hop would start on the committed
 	// timelines alone (exact until an overlay first pushes a hop), next the
@@ -489,38 +490,54 @@ func (s *state) probe(v, proc int, preds []predInfo) placement {
 	return s.probeWith(s.buf(0), v, proc, preds)
 }
 
-// probeWith computes the placement of task v on processor proc: it
+// probeWith computes the full placement of task v on processor proc: it
 // tentatively schedules every incoming communication as early as possible
 // (in pred finish-time order, honouring the one-port constraint when the
 // model asks for it) and then finds the earliest compute gap. Nothing is
 // committed; all tentative reservations live in b, and the returned
 // placement's comms point into b (valid until b's next probe).
 func (s *state) probeWith(b *probeBuf, v, proc int, preds []predInfo) placement {
+	pl, _ := s.probeAgainst(b, v, proc, preds, nil, 0)
+	return pl
+}
+
+// probeAgainst is probeWith for the candidate at position j of an EFT scan
+// whose best placement so far is inc. After each predecessor, and again
+// after the append-only horizon, it stops once ready + dur can no longer
+// beat inc under (finish, position) and reports the probe cut, skipping
+// the remaining messages and the compute gap search; a cut probe's
+// placement is empty. The cut is exact — ready only grows, the gap search
+// never returns a time before its start, and fl(a+d) ≤ fl(b+d) when a ≤ b —
+// so a cut probe could not have won. A nil inc never cuts.
+func (s *state) probeAgainst(b *probeBuf, v, proc int, preds []predInfo, inc *workerBest, j int) (pl placement, cut bool) {
 	b.reset()
 	b.probes++
+	dur := s.pl.ExecTime(s.g.Weight(v), proc)
 	ready := 0.0
 	for _, p := range preds {
 		if p.proc == proc {
 			if p.finish > ready {
 				ready = p.finish
 			}
-			continue
-		}
-		arrival := s.placeComm(b, p.node, v, p.data, p.proc, proc, p.finish)
-		if arrival > ready {
+		} else if arrival := s.placeComm(b, p.node, v, p.data, p.proc, proc, p.finish); arrival > ready {
 			ready = arrival
+		}
+		if inc != nil && !inc.beatenBy(ready+dur, j) {
+			return placement{}, true
 		}
 	}
 	commReady := ready
-	dur := s.pl.ExecTime(s.g.Weight(v), proc)
 	if s.appendOnly && s.compute[proc].LastEnd() > ready {
 		ready = s.compute[proc].LastEnd()
+		if inc != nil && !inc.beatenBy(ready+dur, j) {
+			return placement{}, true
+		}
 	}
 	// under OnePortNoOverlap the task's own incoming messages also reserved
 	// the processor's compute timeline (b.compute), so include the overlay
 	start := sched.EarliestGap(ready, dur,
 		sched.View{Base: s.compute[proc], Extra: b.compute[proc], Cur: b.cur(b.computeCur, proc)})
-	return placement{proc: proc, ready: commReady, start: start, finish: start + dur, comms: b.comms}
+	return placement{proc: proc, ready: commReady, start: start, finish: start + dur, comms: b.comms}, false
 }
 
 // stash copies a placement's comm events out of the probe scratch into the
@@ -743,16 +760,16 @@ func (s *state) bestEFTParallel(v int, candidates []int, preds []predInfo, seed 
 
 // probeSlice scans the surviving candidate positions live[lo:hi] of task v
 // with worker wi's buf, from incumbent lb: a survivor is probed only while
-// its bound can still beat the incumbent, and a probe that beats it is
-// stashed into that buf.
+// its bound can still beat the incumbent, its probe stops once it cannot
+// (probeAgainst), and a probe that beats it is stashed into that buf.
 func (s *state) probeSlice(v int, candidates []int, preds []predInfo, lo, hi, wi int, lb workerBest) workerBest {
 	b := s.bufs[wi]
 	for _, j := range s.live[lo:hi] {
 		if !lb.beatenBy(s.bounds[j], j) {
 			continue
 		}
-		pl := s.probeWith(b, v, candidateAt(candidates, j), preds)
-		if lb.beatenBy(pl.finish, j) {
+		pl, cut := s.probeAgainst(b, v, candidateAt(candidates, j), preds, &lb, j)
+		if !cut && lb.beatenBy(pl.finish, j) {
 			lb = workerBest{pl: stashPlacement(&b.best, pl), pos: j}
 		}
 	}

@@ -179,40 +179,44 @@ func TestTwinClassesKeepProbeOrder(t *testing.T) {
 	}
 }
 
-// scratchProbes returns the probes run with a Scratch's buffers so far.
-func scratchProbes(sc *Scratch) int {
-	n := 0
+// scratchCounts returns the probes run with a Scratch's buffers so far and
+// the messages they placed.
+func scratchCounts(sc *Scratch) (probes, msgs int) {
 	for _, b := range sc.bufs {
-		n += b.probes
+		probes += b.probes
+		msgs += b.msgs
 	}
-	return n
+	return probes, msgs
 }
 
-// TestProbeCounts pins the probes two runs issue at probe parallelism 1.
-// The counts move only when the scan changes what it probes, never with
-// speed; a change here must be deliberate. Before the bound-seeded
-// bestEFT and DLS's twin classes, these runs issued 285,133 (DLS) and
-// 18,290 (HEFT) probes.
+// TestProbeCounts pins the probes two runs issue at probe parallelism 1,
+// and the messages those probes place. The counts move only when the scan
+// changes what it probes or how far a probe goes, never with speed; a
+// change here must be deliberate. Before the bound-seeded bestEFT and
+// DLS's twin classes, these runs issued 285,133 (DLS) and 18,290 (HEFT)
+// probes. Before probes stopped at the incumbent, the HEFT run placed
+// 20,777 messages; the DLS run, whose frontier probes all run in full,
+// placed as many as now.
 func TestProbeCounts(t *testing.T) {
 	cases := []struct {
-		name string
-		run  func(tune *Tuning) (*sched.Schedule, error)
-		want int
+		name         string
+		run          func(tune *Tuning) (*sched.Schedule, error)
+		probes, msgs int
 	}{
 		{"dls/forkjoin300/p32/one-port", func(tune *Tuning) (*sched.Schedule, error) {
 			return dlsRun(testbeds.ForkJoin(300, 10), seededPlatform(t, 1, 32), sched.OnePort, tune)
-		}, 9887},
+		}, 9887, 18776},
 		{"heft/lu60/paper/one-port", func(tune *Tuning) (*sched.Schedule, error) {
 			return heftRun(testbeds.LU(60, 10), platform.Paper(), sched.OnePort, false, tune)
-		}, 12119},
+		}, 12119, 16187},
 	}
 	for _, c := range cases {
 		sc := NewScratch()
 		if _, err := c.run(&Tuning{ProbeParallelism: 1, Scratch: sc}); err != nil {
 			t.Fatal(err)
 		}
-		if got := scratchProbes(sc); got != c.want {
-			t.Errorf("%s: %d probes, want %d", c.name, got, c.want)
+		if probes, msgs := scratchCounts(sc); probes != c.probes || msgs != c.msgs {
+			t.Errorf("%s: %d probes placing %d messages, want %d placing %d", c.name, probes, msgs, c.probes, c.msgs)
 		}
 	}
 }
