@@ -52,7 +52,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	rt, err := pl.ComputeRoutes()
+	rt, err := pl.Routes()
 	if err != nil {
 		log.Fatal(err)
 	}

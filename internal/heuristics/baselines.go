@@ -252,49 +252,55 @@ func bilRun(g *graph.Graph, pl *platform.Platform, model sched.Model, tune *Tuni
 // level matrix, reduced to max over processors per task. Shared by bilRun
 // and the incremental runner, which needs the priorities alone to simulate
 // BIL's commit order.
+//
+// A successor s's cheapest move off processor q is the minimum over r != q
+// of BIL(s,r) + data·l̄. Letting r = q into that minimum changes no
+// continuation, because data·l̄ ≥ 0 and staying on q already costs
+// BIL(s,q); on one processor, where there is nowhere to move, the move is
+// then never below the stay. And since fl(x + c) is monotone in x, the
+// minimum of the sums is, bit for bit, s's smallest level plus data·l̄. So
+// each task's smallest level, taken once, gives the levels in O(E·P)
+// instead of O(E·P²).
 func bilPriorities(g *graph.Graph, pl *platform.Platform) ([]float64, error) {
 	order, err := g.TopoOrder()
 	if err != nil {
 		return nil, err
 	}
-	p := pl.NumProcs()
+	n, p := g.NumNodes(), pl.NumProcs()
 	lbar := pl.AvgLinkFactor()
-	bil := make([][]float64, g.NumNodes())
+	bil := make([]float64, n*p) // BIL(v,q) at bil[v*p+q]
+	lo := make([]float64, n)    // lo[v]: v's smallest level
 	for i := len(order) - 1; i >= 0; i-- {
 		v := order[i]
-		bil[v] = make([]float64, p)
-		for q := 0; q < p; q++ {
-			maxSucc := 0.0
-			for _, a := range g.Succ(v) {
+		row := bil[v*p : (v+1)*p] // the max over successors first, then BIL(v,q)
+		for _, a := range g.Succ(v) {
+			move := lo[a.Node] + a.Data*lbar
+			for q, stay := range bil[a.Node*p : (a.Node+1)*p] {
 				// cheapest continuation: stay on q, or move anywhere paying
 				// an average communication
-				stay := bil[a.Node][q]
-				move := math.Inf(1)
-				for r := 0; r < p; r++ {
-					if r == q {
-						continue
-					}
-					if c := bil[a.Node][r] + a.Data*lbar; c < move {
-						move = c
-					}
-				}
 				best := stay
 				if move < best {
 					best = move
 				}
-				if best > maxSucc {
-					maxSucc = best
+				if best > row[q] {
+					row[q] = best
 				}
 			}
-			bil[v][q] = pl.ExecTime(g.Weight(v), q) + maxSucc
+		}
+		lo[v] = math.Inf(1)
+		for q := range row {
+			row[q] = pl.ExecTime(g.Weight(v), q) + row[q]
+			if row[q] < lo[v] {
+				lo[v] = row[q]
+			}
 		}
 	}
-	prio := make([]float64, g.NumNodes())
+	prio := make([]float64, n)
 	for v := range prio {
 		m := math.Inf(-1)
-		for q := 0; q < p; q++ {
-			if bil[v][q] > m {
-				m = bil[v][q]
+		for _, x := range bil[v*p : (v+1)*p] {
+			if x > m {
+				m = x
 			}
 		}
 		prio[v] = m

@@ -1,6 +1,7 @@
 package heuristics
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -8,6 +9,7 @@ import (
 	"oneport/internal/graph"
 	"oneport/internal/platform"
 	"oneport/internal/sched"
+	"oneport/internal/testbeds"
 )
 
 func TestPropertyBaselineSchedulesAreValid(t *testing.T) {
@@ -214,5 +216,127 @@ func TestHeuristicsBeatRandomOnAverage(t *testing.T) {
 	}
 	if avg := sum / trials; h.Makespan() > avg {
 		t.Errorf("HEFT makespan %g worse than random average %g", h.Makespan(), avg)
+	}
+}
+
+// bilPrioritiesReference is the former O(E·P²) bilPriorities: for every
+// successor and processor q it takes the minimum over r != q of the sums
+// BIL(s,r) + data·l̄ itself.
+func bilPrioritiesReference(g *graph.Graph, pl *platform.Platform) []float64 {
+	order, err := g.TopoOrder()
+	if err != nil {
+		panic(err)
+	}
+	p := pl.NumProcs()
+	lbar := pl.AvgLinkFactor()
+	bil := make([][]float64, g.NumNodes())
+	for i := len(order) - 1; i >= 0; i-- {
+		v := order[i]
+		bil[v] = make([]float64, p)
+		for q := 0; q < p; q++ {
+			maxSucc := 0.0
+			for _, a := range g.Succ(v) {
+				stay := bil[a.Node][q]
+				move := math.Inf(1)
+				for r := 0; r < p; r++ {
+					if r == q {
+						continue
+					}
+					if c := bil[a.Node][r] + a.Data*lbar; c < move {
+						move = c
+					}
+				}
+				best := stay
+				if move < best {
+					best = move
+				}
+				if best > maxSucc {
+					maxSucc = best
+				}
+			}
+			bil[v][q] = pl.ExecTime(g.Weight(v), q) + maxSucc
+		}
+	}
+	prio := make([]float64, g.NumNodes())
+	for v := range prio {
+		m := math.Inf(-1)
+		for q := 0; q < p; q++ {
+			if bil[v][q] > m {
+				m = bil[v][q]
+			}
+		}
+		prio[v] = m
+	}
+	return prio
+}
+
+// TestBILPrioritiesMatchReference checks bilPriorities bit for bit against
+// the former triple loop, on random DAGs with fractional weights and data
+// (so the sums round; a quarter of the edges carry no data, so moving ties
+// staying) over random platforms: one processor, where no successor can
+// move; homogeneous ones and small ones with repeated cycle-times, whose
+// levels tie across processors; and heterogeneous 16-processor ones.
+func TestBILPrioritiesMatchReference(t *testing.T) {
+	one, err := platform.Uniform([]float64{2.5}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	homo, err := platform.Homogeneous(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for seed := int64(1); seed <= 100; seed++ {
+		r := rand.New(rand.NewSource(seed))
+		n := 2 + r.Intn(40)
+		g := graph.New(n)
+		for i := 0; i < n; i++ {
+			g.AddNode(r.Float64()*10, "")
+		}
+		for u := 0; u < n; u++ {
+			for v := u + 1; v < n; v++ {
+				if r.Intn(4) == 0 {
+					g.MustEdge(u, v, float64(r.Intn(4))*r.Float64()*2.5)
+				}
+			}
+		}
+		for _, pl := range []*platform.Platform{one, homo, randomPlatform(r), seededPlatform(t, seed, 16)} {
+			got, err := bilPriorities(g, pl)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := bilPrioritiesReference(g, pl)
+			for v := range want {
+				if math.Float64bits(got[v]) != math.Float64bits(want[v]) {
+					t.Fatalf("seed %d, %d processors: task %d priority %v, reference %v", seed, pl.NumProcs(), v, got[v], want[v])
+				}
+			}
+		}
+	}
+}
+
+// BenchmarkBILPriorities times the BIL levels of Doolittle(60) on 16
+// processors with the paper's cycle-times and three link costs.
+func BenchmarkBILPriorities(b *testing.B) {
+	cycles := make([]float64, 16)
+	link := make([][]float64, 16)
+	for q := range cycles {
+		cycles[q] = []float64{6, 10, 15}[q%3]
+		link[q] = make([]float64, 16)
+		for r := range link[q] {
+			if r != q {
+				link[q][r] = []float64{0.5, 1, 2}[(q+r)%3]
+			}
+		}
+	}
+	pl, err := platform.New(cycles, link)
+	if err != nil {
+		b.Fatal(err)
+	}
+	g := testbeds.Doolittle(60, 10)
+	b.ReportAllocs()
+	for b.Loop() {
+		if _, err := bilPriorities(g, pl); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -695,7 +695,9 @@ func (f *frontier) recordReads(base, p int, preds []predInfo) {
 		if q == p {
 			continue
 		}
-		for _, r := range f.s.path(q, p) {
+		rp[q>>6] |= uint64(1) << uint(q&63)
+		for r := q; r != p; {
+			r = f.s.hop(r, p)
 			rp[r>>6] |= uint64(1) << uint(r&63)
 		}
 	}

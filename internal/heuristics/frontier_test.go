@@ -357,12 +357,16 @@ func boundPlatforms(t *testing.T) []struct {
 // or below what a fresh probe returns after every later commit, whether
 // the entry is stale or not, and a valid entry must carry the fresh start
 // exactly; and bestEFT's finishBound of every ready task on every
-// processor must stay at or below the fresh finish. The walks refresh
-// random rows only now and then, so entries go stale across many commits
-// and through compute-only refreshes. Append-only placement runs both
-// ways: it moves the compute gap search of both bounds.
+// processor, with the sender releases bestEFT computes, must stay at or
+// below the fresh finish. The walks refresh random rows only now and
+// then, so entries go stale across many commits and through compute-only
+// refreshes. Append-only placement runs both ways: it moves the compute
+// gap search of both bounds. Under each port model that ran, some
+// finishBound checks must have a remote predecessor whose release is past
+// its finish, or the release term went untested.
 func TestFrontierBoundSound(t *testing.T) {
 	checks, loose := 0, 0
+	ran, released := map[sched.Model]bool{}, map[sched.Model]int{}
 	for _, appendOnly := range []bool{false, true} {
 		prefix := ""
 		if appendOnly {
@@ -373,15 +377,23 @@ func TestFrontierBoundSound(t *testing.T) {
 				for seed := int64(1); seed <= 3; seed++ {
 					t.Run(fmt.Sprintf("%s%s/%s/seed%d", prefix, c.name, model, seed), func(t *testing.T) {
 						g := testbeds.RandomLayered(seed, 8, 8, 10, 10)
-						n, l := boundWalk(t, g, c.pl, model, appendOnly, rand.New(rand.NewSource(seed)))
+						n, l, r := boundWalk(t, g, c.pl, model, appendOnly, rand.New(rand.NewSource(seed)))
 						checks += n
 						loose += l
+						ran[model] = true
+						released[model] += r
 					})
 				}
 			}
 		}
 	}
-	t.Logf("%d bound checks, %d with a bound strictly below the fresh start", checks, loose)
+	t.Logf("%d bound checks, %d with a bound strictly below the fresh start; finishBound checks with a release past its finish: %v",
+		checks, loose, released)
+	for _, model := range []sched.Model{sched.OnePort, sched.UniPort, sched.OnePortNoOverlap} {
+		if ran[model] && released[model] == 0 {
+			t.Errorf("%s: no finishBound check had a sender release past its predecessor's finish", model)
+		}
+	}
 }
 
 // TestFrontierBoundAnomaly pins the two-message counter-example of
@@ -452,9 +464,11 @@ func TestExactSums(t *testing.T) {
 }
 
 // boundWalk runs one randomized commit walk for TestFrontierBoundSound and
-// returns how many engine entries it checked and how many of their bounds
-// were strictly below the fresh start.
-func boundWalk(t *testing.T, g *graph.Graph, pl *platform.Platform, model sched.Model, appendOnly bool, rng *rand.Rand) (checks, loose int) {
+// returns how many engine entries it checked, how many of their bounds
+// were strictly below the fresh start, and how many finishBound checks had
+// a remote predecessor whose sender release is past its finish. Under the
+// models with no sender term every release must be the finish.
+func boundWalk(t *testing.T, g *graph.Graph, pl *platform.Platform, model sched.Model, appendOnly bool, rng *rand.Rand) (checks, loose, released int) {
 	t.Helper()
 	s, err := newState(g, pl, model, &Tuning{ProbeParallelism: 1})
 	if err != nil {
@@ -463,9 +477,9 @@ func boundWalk(t *testing.T, g *graph.Graph, pl *platform.Platform, model sched.
 	s.appendOnly = appendOnly
 	f := attachFrontier(s)
 	check := newProbeBuf(pl.NumProcs())
-	rel := newReleaser(g)
+	rl := newReleaser(g)
 	var ready []int
-	ready = append(ready, rel.initial()...)
+	ready = append(ready, rl.initial()...)
 	np := pl.NumProcs()
 	for len(ready) > 0 {
 		// refresh a random row now and then, so the other rows age
@@ -474,11 +488,25 @@ func boundWalk(t *testing.T, g *graph.Graph, pl *platform.Platform, model sched.
 		}
 		for _, v := range ready {
 			preds := s.preds(v)
+			rel := s.senderReleases(preds)
+			if model == sched.MacroDataflow || model == sched.LinkContention {
+				for i := range preds {
+					if rel[i] != preds[i].finish {
+						t.Fatalf("task %d pred %d: release %g, want its finish %g", v, preds[i].node, rel[i], preds[i].finish)
+					}
+				}
+			}
 			row := f.row(v)
 			for p := 0; p < np; p++ {
 				fresh := s.probeWith(check, v, p, preds)
-				if fb := s.finishBound(g.Weight(v), p, preds); fb > fresh.finish {
+				if fb := s.finishBound(g.Weight(v), p, preds, rel); fb > fresh.finish {
 					t.Fatalf("task %d proc %d: finishBound %g above the fresh finish %g", v, p, fb, fresh.finish)
+				}
+				for i := range preds {
+					if preds[i].proc != p && rel[i] > preds[i].finish {
+						released++
+						break
+					}
 				}
 				e := &row[p]
 				if e.asOf < f.epoch {
@@ -503,9 +531,9 @@ func boundWalk(t *testing.T, g *graph.Graph, pl *platform.Platform, model sched.
 		v := ready[i]
 		ready = append(ready[:i], ready[i+1:]...)
 		s.commit(v, f.placementFor(v, rng.Intn(np)))
-		ready = append(ready, rel.release(v)...)
+		ready = append(ready, rl.release(v)...)
 	}
-	return checks, loose
+	return checks, loose, released
 }
 
 // TestBestEFTMatchesReference is the differential pin of the bound-seeded

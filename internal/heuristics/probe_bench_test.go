@@ -10,14 +10,13 @@ import (
 	"oneport/internal/testbeds"
 )
 
-// halfScheduledLU schedules the first half of LU(30) on the paper platform
-// HEFT-style, under tune, so the returned task — the next ready one with at
-// least two predecessors — has committed predecessors spread over several
-// processors and busy timelines to search.
-func halfScheduledLU(tb testing.TB, tune *Tuning) (*state, int) {
+// halfScheduledLU schedules the first half of LU(n) on pl HEFT-style,
+// under tune, so the returned task — the next ready one with at least two
+// predecessors — has committed predecessors spread over several processors
+// and busy timelines to search.
+func halfScheduledLU(tb testing.TB, pl *platform.Platform, n int, tune *Tuning) (*state, int) {
 	tb.Helper()
-	pl := platform.Paper()
-	g := testbeds.LU(30, 10)
+	g := testbeds.LU(n, 10)
 	s, err := newState(g, pl, sched.OnePort, tune)
 	if err != nil {
 		tb.Fatal(err)
@@ -46,11 +45,11 @@ func halfScheduledLU(tb testing.TB, tune *Tuning) (*state, int) {
 }
 
 // BenchmarkProbeMicro isolates one probe call — the innermost unit of every
-// heuristic's hot loop — on a half-scheduled mid-size LU instance, so the
-// zero-allocation claim of the scratch-buffer probe path is directly visible
-// in allocs/op.
+// heuristic's hot loop — on a half-scheduled LU(30) on the paper platform,
+// so the zero-allocation claim of the scratch-buffer probe path is directly
+// visible in allocs/op.
 func BenchmarkProbeMicro(b *testing.B) {
-	s, target := halfScheduledLU(b, nil)
+	s, target := halfScheduledLU(b, platform.Paper(), 30, nil)
 	preds := s.preds(target)
 	buf := s.buf(0)
 	b.ReportAllocs()
@@ -60,11 +59,11 @@ func BenchmarkProbeMicro(b *testing.B) {
 	}
 }
 
-// BenchmarkBestEFT times one whole earliest-finish scan — bounds, seed
-// probe, survivor probes cut at the incumbent — on BenchmarkProbeMicro's
-// task, at probe parallelism 1.
+// BenchmarkBestEFT times one whole earliest-finish scan — sender releases,
+// bounds, seed probe, survivor probes cut at the incumbent — on
+// BenchmarkProbeMicro's task, at probe parallelism 1.
 func BenchmarkBestEFT(b *testing.B) {
-	s, target := halfScheduledLU(b, &Tuning{ProbeParallelism: 1})
+	s, target := halfScheduledLU(b, platform.Paper(), 30, &Tuning{ProbeParallelism: 1})
 	b.ReportAllocs()
 	for b.Loop() {
 		s.bestEFT(target, nil)
@@ -72,16 +71,29 @@ func BenchmarkBestEFT(b *testing.B) {
 }
 
 // TestBestEFTAllocs is the allocation gate of the scan: once its scratch
-// (bounds, surviving positions, the stash) has grown, a bestEFT on
-// BenchmarkProbeMicro's task at probe parallelism 1 allocates nothing.
+// (releases, bounds, surviving positions, the stash) has grown, a bestEFT
+// at probe parallelism 1 allocates nothing — on BenchmarkProbeMicro's task
+// on the dense paper platform, and on a half-scheduled LU(20) on a
+// 4-processor line, whose messages are routed hop by hop.
 func TestBestEFTAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("-race instrumentation inflates allocation counts")
 	}
-	s, target := halfScheduledLU(t, &Tuning{ProbeParallelism: 1})
-	s.bestEFT(target, nil)
-	if got := testing.AllocsPerRun(100, func() { s.bestEFT(target, nil) }); got != 0 {
-		t.Fatalf("warm bestEFT: %v allocations per scan, want 0", got)
+	for _, c := range []struct {
+		name string
+		pl   *platform.Platform
+		n    int
+	}{
+		{"paper", platform.Paper(), 30},
+		{"line4", linePlatform(4), 20},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			s, target := halfScheduledLU(t, c.pl, c.n, &Tuning{ProbeParallelism: 1})
+			s.bestEFT(target, nil)
+			if got := testing.AllocsPerRun(100, func() { s.bestEFT(target, nil) }); got != 0 {
+				t.Fatalf("warm bestEFT: %v allocations per scan, want 0", got)
+			}
+		})
 	}
 }
 

@@ -38,7 +38,7 @@ type state struct {
 	g      *graph.Graph
 	pl     *platform.Platform
 	model  sched.Model
-	routes *platform.Routes // non-nil only for sparse platforms
+	routes *platform.Routes // non-nil only for sparse platforms (Platform.Routes)
 	ctx    context.Context  // run deadline/cancellation; nil: never canceled
 
 	// appendOnly disables insertion: tasks are placed after the last busy
@@ -67,9 +67,11 @@ type state struct {
 	predCount []int // per-proc counting scratch (ILHA Step 1)
 
 	// bestEFT scratch: bounds[j] is candidate position j's finish bound,
-	// live the positions that survive the seed probe
-	bounds []float64
-	live   []int
+	// live the positions that survive the seed probe, releases[i] the
+	// sender release of the task's i-th predecessor
+	bounds   []float64
+	live     []int
+	releases []float64
 
 	// frontier, when non-nil, is the frontier-probe engine attached by the
 	// whole-frontier heuristics (DLS, Exhaustive); commit notifies it
@@ -268,7 +270,7 @@ func newState(g *graph.Graph, pl *platform.Platform, model sched.Model, tune *Tu
 		s.recv[i] = &sched.Intervals{}
 	}
 	if pl.Sparse() {
-		rt, err := pl.ComputeRoutes()
+		rt, err := pl.Routes()
 		if err != nil {
 			return nil, err
 		}
@@ -353,12 +355,14 @@ type placement struct {
 	comms         []sched.CommEvent
 }
 
-// path returns the processor chain a message from q to r traverses.
-func (s *state) path(q, r int) []int {
+// hop returns the processor after a on the chain a message to r traverses:
+// r itself on a dense platform, the routed next hop on a sparse one.
+// Walking it from the sender until r visits the route without building it.
+func (s *state) hop(a, r int) int {
 	if s.routes != nil {
-		return s.routes.Path(q, r)
+		return s.routes.Next(a, r)
 	}
-	return []int{q, r}
+	return r
 }
 
 // placeComm finds, without committing, the hop chain for moving data items
@@ -373,9 +377,7 @@ func (s *state) placeComm(b *probeBuf, u, v int, data float64, q, r int, ready f
 	// timelines alone (exact until an overlay first pushes a hop), next the
 	// following hop's alone release; see probeBuf.alone
 	alone, next, pushed := ready, ready, false
-	procs := s.path(q, r)
-	for i := 0; i+1 < len(procs); i++ {
-		pa, pb := procs[i], procs[i+1]
+	for pa, pb := q, s.hop(q, r); pa != r; pa, pb = pb, s.hop(pb, r) {
 		dur := s.pl.CommTime(data, pa, pb)
 		start, from := t, t // MacroDataflow: ports are unlimited
 		switch s.model {
@@ -626,27 +628,58 @@ func candidateAt(candidates []int, j int) int {
 	return candidates[j]
 }
 
+// senderReleases returns, for each predecessor in preds, its sender
+// release: the earliest time its message could leave its processor q on
+// the committed timelines. It is a gap search on q's sender-side timeline,
+// from the predecessor's finish, for the message's data times MinOut(q),
+// the cheapest first hop any route out of q can take. The sender-side
+// timeline is send[q] under OnePort and UniPort (the combined port), and
+// send[q] plus compute[q] under OnePortNoOverlap, where a hop blocks the
+// sender's computation. MacroDataflow has no ports and LinkContention
+// queues messages on wires, so under those the release is the finish. The
+// returned slice is state scratch, valid until the next call.
+func (s *state) senderReleases(preds []predInfo) []float64 {
+	rel := s.releases[:0]
+	for i := range preds {
+		pr := &preds[i]
+		t, dur := pr.finish, pr.data*s.pl.MinOut(pr.proc)
+		switch s.model {
+		case sched.OnePort, sched.UniPort:
+			t = s.send[pr.proc].EarliestGap(t, dur)
+		case sched.OnePortNoOverlap:
+			t = sched.EarliestGap(t, dur, sched.View{Base: s.send[pr.proc]}, sched.View{Base: s.compute[pr.proc]})
+		}
+		rel = append(rel, t)
+	}
+	s.releases = rel
+	return rel
+}
+
 // finishBound returns a lower bound on the finish a probe of a task of
-// weight w on processor p would return, without probing. Each predecessor
-// contributes its finish, plus, when it is remote, its route's hop
-// durations — the same CommTime terms placeComm adds, in the same order; a
-// gap search on p's committed compute timeline from the latest of them
-// (after the append-only horizon) plus the execution time gives the bound.
-// It is sound because a hop never starts before its release, a gap search
-// never returns earlier from a later start or on a superset of busy
-// intervals (the probe searches the committed timeline plus its own
-// overlay), and the same float sums, added in the same order, round
-// monotonically. A search from at or past the timeline's last busy end
-// returns its start, so that case skips it.
-func (s *state) finishBound(w float64, p int, preds []predInfo) float64 {
+// weight w on processor p would return, without probing; rel holds the
+// predecessors' sender releases (senderReleases). A local predecessor
+// contributes its finish. A remote one contributes its release plus its
+// route's hop durations — the same CommTime terms placeComm adds, in the
+// same order. A gap search on p's committed compute timeline from the
+// latest of them (after the append-only horizon) plus the execution time
+// gives the bound. It is sound because the probe's first hop starts no
+// earlier than the release (it searches from the predecessor's finish, on
+// the same timelines plus more, for a window at least as long), a later
+// hop never starts before the previous one ends, a gap search never
+// returns earlier from a later start or on a superset of busy intervals
+// (the probe searches the committed timeline plus its own overlay), and
+// the same float sums, added in the same order, round monotonically. A
+// search from at or past the timeline's last busy end returns its start,
+// so that case skips it.
+func (s *state) finishBound(w float64, p int, preds []predInfo, rel []float64) float64 {
 	ready := 0.0
 	for i := range preds {
 		pr := &preds[i]
 		t := pr.finish
 		if pr.proc != p {
-			procs := s.path(pr.proc, p)
-			for k := 0; k+1 < len(procs); k++ {
-				t += s.pl.CommTime(pr.data, procs[k], procs[k+1])
+			t = rel[i]
+			for a, b := pr.proc, s.hop(pr.proc, p); a != p; a, b = b, s.hop(b, p) {
+				t += s.pl.CommTime(pr.data, a, b)
 			}
 		}
 		if t > ready {
@@ -694,9 +727,10 @@ func (s *state) bestEFT(v int, candidates []int) placement {
 	}
 	bounds := s.bounds[:n]
 	weight := s.g.Weight(v)
+	rel := s.senderReleases(preds)
 	seed := 0
 	for j := range bounds {
-		bounds[j] = s.finishBound(weight, candidateAt(candidates, j), preds)
+		bounds[j] = s.finishBound(weight, candidateAt(candidates, j), preds, rel)
 		if bounds[j] < bounds[seed] {
 			seed = j
 		}

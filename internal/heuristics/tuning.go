@@ -49,7 +49,8 @@ type Tuning struct {
 
 // Scratch owns the probe scratch memory (per-worker probe buffers, the
 // predecessor buffer, the parallel-reduction slots, bestEFT's candidate
-// bounds and, for the heuristics that use one, the frontier-probe engine)
+// bounds and sender releases and, for the heuristics that use one, the
+// frontier-probe engine)
 // that a scheduler state grows during a run. Reusing one Scratch across
 // successive runs on platforms of the same size avoids re-allocating all of
 // it every time.
@@ -61,6 +62,7 @@ type Scratch struct {
 	results  []workerBest
 	bounds   []float64
 	live     []int
+	releases []float64
 	frontier *frontier
 }
 
@@ -73,17 +75,17 @@ func NewScratch() *Scratch { return &Scratch{} }
 // the first is still running can never alias the same buffers (it simply
 // grows fresh ones). Buffers sized for a different processor count are
 // dropped — probeBuf slices are indexed by processor. The frontier engine
-// and bestEFT's bounds size themselves to any (graph, platform) pair, so
-// they are always handed over.
+// and bestEFT's bounds and releases size themselves to any (graph,
+// platform) pair, so they are always handed over.
 func (sc *Scratch) lend(s *state) {
 	if sc.procs == s.pl.NumProcs() && sc.bufs != nil {
 		s.bufs = sc.bufs
 		s.predBuf = sc.predBuf[:0]
 		s.results = sc.results[:0]
 	}
-	s.bounds, s.live = sc.bounds, sc.live
+	s.bounds, s.live, s.releases = sc.bounds, sc.live, sc.releases
 	s.fmem = sc.frontier
-	sc.bufs, sc.predBuf, sc.results, sc.bounds, sc.live, sc.frontier = nil, nil, nil, nil, nil, nil
+	sc.bufs, sc.predBuf, sc.results, sc.bounds, sc.live, sc.releases, sc.frontier = nil, nil, nil, nil, nil, nil, nil
 }
 
 // reclaim returns a finished state's (possibly grown) scratch buffers to
@@ -100,7 +102,7 @@ func (t *Tuning) reclaim(s *state) {
 	sc.bufs = s.bufs
 	sc.predBuf = s.predBuf
 	sc.results = s.results
-	sc.bounds, sc.live = s.bounds, s.live
+	sc.bounds, sc.live, sc.releases = s.bounds, s.live, s.releases
 	// the run either attached the lent engine (s.frontier) or never touched
 	// it (still parked in s.fmem); recover whichever is live, unbinding the
 	// dead state so a pooled Scratch does not pin its timelines and schedule

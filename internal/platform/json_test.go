@@ -70,11 +70,11 @@ func TestPlatformJSONRoundTripSparse(t *testing.T) {
 	if !back.Sparse() {
 		t.Fatal("round-tripped platform lost sparsity")
 	}
-	rtA, err := pl.ComputeRoutes()
+	rtA, err := pl.Routes()
 	if err != nil {
 		t.Fatal(err)
 	}
-	rtB, err := back.ComputeRoutes()
+	rtB, err := back.Routes()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"sync"
 )
 
 // Platform describes the processors and interconnect.
@@ -20,6 +21,19 @@ type Platform struct {
 	cycle  []float64   // cycle-time t_i per processor
 	link   [][]float64 // link(q,r); 0 on the diagonal; +Inf if no direct wire
 	sparse bool        // true if any off-diagonal entry is +Inf
+
+	minOut []float64 // minOut[q]: the cheapest link out of q (see MinOut)
+
+	// routes holds the routing tables, filled by the first Routes call; a
+	// pointer, so copies of the Platform share the one fill
+	routes *routeCache
+}
+
+// routeCache is a platform's routing tables and their error, computed once.
+type routeCache struct {
+	once sync.Once
+	rt   *Routes
+	err  error
 }
 
 // New builds a platform from explicit cycle-times and a full link matrix.
@@ -61,9 +75,19 @@ func New(cycleTimes []float64, link [][]float64) (*Platform, error) {
 		cycle:  append([]float64(nil), cycleTimes...),
 		link:   make([][]float64, p),
 		sparse: sparse,
+		minOut: make([]float64, p),
+		routes: &routeCache{},
 	}
 	for q := range link {
 		pl.link[q] = append([]float64(nil), link[q]...)
+		if p > 1 {
+			pl.minOut[q] = math.Inf(1)
+		}
+		for r, c := range link[q] {
+			if r != q && c < pl.minOut[q] {
+				pl.minOut[q] = c
+			}
+		}
 	}
 	return pl, nil
 }
@@ -122,6 +146,23 @@ func (pl *Platform) Link(q, r int) float64 { return pl.link[q][r] }
 // Sparse reports whether some processor pair lacks a direct wire, in which
 // case communications must be routed (see Routes).
 func (pl *Platform) Sparse() bool { return pl.sparse }
+
+// MinOut returns the cheapest link out of q: the minimum of link(q,r) over
+// r != q, and 0 on a one-processor platform, where nothing leaves. Every
+// route out of q starts with a wire at least this costly, on dense and
+// sparse platforms alike.
+func (pl *Platform) MinOut(q int) float64 { return pl.minOut[q] }
+
+// Routes returns the platform's static routing tables (see routing.go), or
+// an error when some processor pair is disconnected. The first call runs
+// Floyd–Warshall, O(p³); later calls, from any goroutine, return the same
+// tables. New does not compute them, so building a platform stays linear in
+// its link matrix.
+func (pl *Platform) Routes() (*Routes, error) {
+	c := pl.routes
+	c.once.Do(func() { c.rt, c.err = pl.computeRoutes() })
+	return c.rt, c.err
+}
 
 // ExecTime returns the time to execute a task of weight w on processor i:
 // w * t_i.

@@ -2,6 +2,7 @@ package platform
 
 import (
 	"math"
+	"slices"
 	"testing"
 )
 
@@ -182,7 +183,7 @@ func TestSingleProcessorFactors(t *testing.T) {
 
 func TestRoutesFullyConnected(t *testing.T) {
 	pl := Paper()
-	rt, err := pl.ComputeRoutes()
+	rt, err := pl.Routes()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,7 +221,10 @@ func TestRoutesLineTopology(t *testing.T) {
 	if !pl.Sparse() {
 		t.Fatal("line topology should be sparse")
 	}
-	rt, err := pl.ComputeRoutes()
+	if pl.routes.rt != nil {
+		t.Fatal("New computed the routing tables; Routes should fill them on first use")
+	}
+	rt, err := pl.Routes()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,6 +239,22 @@ func TestRoutesLineTopology(t *testing.T) {
 	if rt.Hops(0, 2) != 2 {
 		t.Errorf("Hops(0,2) = %d, want 2", rt.Hops(0, 2))
 	}
+	if again, _ := pl.Routes(); again != rt {
+		t.Fatal("Routes() recomputed the tables")
+	}
+	// the scheduler walks the tables by Next
+	for q := 0; q < 3; q++ {
+		for r := 0; r < 3; r++ {
+			walk := []int{q}
+			for a := q; a != r; {
+				a = rt.Next(a, r)
+				walk = append(walk, a)
+			}
+			if path := rt.Path(q, r); !slices.Equal(walk, path) {
+				t.Errorf("%d->%d: Next walks %v, Path is %v", q, r, walk, path)
+			}
+		}
+	}
 }
 
 func TestRoutesDisconnected(t *testing.T) {
@@ -247,8 +267,11 @@ func TestRoutesDisconnected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := pl.ComputeRoutes(); err == nil {
+	if _, err := pl.Routes(); err == nil {
 		t.Fatal("expected error for disconnected platform")
+	}
+	if _, err := pl.Routes(); err == nil {
+		t.Fatal("expected a second Routes() to report the disconnected platform too")
 	}
 }
 
@@ -263,7 +286,7 @@ func TestRoutesPreferCheaperIndirectPath(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rt, err := pl.ComputeRoutes()
+	rt, err := pl.Routes()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -272,5 +295,30 @@ func TestRoutesPreferCheaperIndirectPath(t *testing.T) {
 	}
 	if rt.Hops(0, 2) != 2 {
 		t.Errorf("Hops(0,2) = %d, want 2 (via proc 1)", rt.Hops(0, 2))
+	}
+}
+
+func TestMinOut(t *testing.T) {
+	inf := math.Inf(1)
+	cases := []struct {
+		name  string
+		cycle []float64
+		link  [][]float64
+		want  []float64
+	}{
+		{"asymmetric", []float64{1, 1, 1}, [][]float64{{0, 3, 1}, {2, 0, 5}, {4, 4, 0}}, []float64{1, 2, 4}},
+		{"line", []float64{1, 1, 1}, [][]float64{{0, 2, inf}, {2, 0, 0.5}, {inf, 0.5, 0}}, []float64{2, 0.5, 0.5}},
+		{"one processor", []float64{3}, [][]float64{{0}}, []float64{0}},
+	}
+	for _, c := range cases {
+		pl, err := New(c.cycle, c.link)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for q, want := range c.want {
+			if got := pl.MinOut(q); got != want {
+				t.Errorf("%s: MinOut(%d) = %g, want %g", c.name, q, got, want)
+			}
+		}
 	}
 }

@@ -14,14 +14,14 @@ import (
 
 // Routes holds the all-pairs static routing tables of a platform.
 type Routes struct {
-	next [][]int     // next[q][r]: first hop on the path q->r, -1 if unreachable
-	dist [][]float64 // path cost under the link metric
+	next [][]int     // next[q][r]: first hop on the path q->r
+	link [][]float64 // the platform's link matrix, for Dist
 }
 
-// ComputeRoutes runs Floyd–Warshall over the link matrix and returns the
+// computeRoutes runs Floyd–Warshall over the link matrix and returns the
 // routing tables. An error is returned if some processor pair is not
-// connected even transitively.
-func (pl *Platform) ComputeRoutes() (*Routes, error) {
+// connected even transitively. Platform.Routes calls it once per platform.
+func (pl *Platform) computeRoutes() (*Routes, error) {
 	p := pl.NumProcs()
 	dist := make([][]float64, p)
 	next := make([][]int, p)
@@ -57,8 +57,14 @@ func (pl *Platform) ComputeRoutes() (*Routes, error) {
 			}
 		}
 	}
-	return &Routes{next: next, dist: dist}, nil
+	return &Routes{next: next, link: pl.link}, nil
 }
+
+// Next returns the processor after q on the routed path q->r (r when the
+// route is the direct wire, q when q == r). Walking Next from q until r
+// visits the path without building it, which is how the scheduler's probes
+// read it.
+func (rt *Routes) Next(q, r int) int { return rt.next[q][r] }
 
 // Path returns the processor sequence from q to r, inclusive of both ends.
 // For q == r it returns [q].
@@ -71,8 +77,17 @@ func (rt *Routes) Path(q, r int) []int {
 	return path
 }
 
-// Dist returns the total per-data-item cost along the routed path q->r.
-func (rt *Routes) Dist(q, r int) float64 { return rt.dist[q][r] }
+// Dist returns the total per-data-item cost along the routed path q->r: the
+// sum of its wires' links, in path order.
+func (rt *Routes) Dist(q, r int) float64 {
+	d := 0.0
+	for q != r {
+		a := rt.next[q][r]
+		d += rt.link[q][a]
+		q = a
+	}
+	return d
+}
 
 // Hops returns the number of wires on the routed path q->r (0 when q == r).
 func (rt *Routes) Hops(q, r int) int { return len(rt.Path(q, r)) - 1 }
