@@ -147,8 +147,11 @@ func dlsRun(g *graph.Graph, pl *platform.Platform, model sched.Model, tune *Tuni
 	// A step scores the fresh and compute-refreshed entries, then visits the
 	// staleFull pairs in a bound pass: a pair whose DL upper bound
 	// sl − boundStart + Δ cannot beat the incumbent under the full tie-break
-	// can never be the argmax and is skipped without a probe; the rest are
-	// re-probed exactly once.
+	// can never be the argmax and is skipped without a probe. The rest get
+	// a fresh start bound from their task's sender releases (rebound),
+	// which the entry keeps, so a pair that bound rules out costs later
+	// steps one O(1) check until the incumbent comes close enough; a pair
+	// the fresh bound cannot rule out either is re-probed exactly once.
 	for !ready.empty() {
 		bestV, bestP, bestDL := -1, -1, math.Inf(-1)
 		better := func(dl float64, v, q int) bool {
@@ -175,6 +178,7 @@ func dlsRun(g *graph.Graph, pl *platform.Platform, model sched.Model, tune *Tuni
 		}
 		predsOf := -1
 		var preds []predInfo
+		var releases []float64
 		for _, pr := range stale {
 			v, q := int(pr.v), int(pr.p)
 			e := &f.entries[v*np+q]
@@ -185,6 +189,10 @@ func dlsRun(g *graph.Graph, pl *platform.Platform, model sched.Model, tune *Tuni
 			}
 			if predsOf != v {
 				preds, predsOf = s.preds(v), v
+				releases = s.senderReleases(preds)
+			}
+			if !better(sl[v]-f.rebound(v, q, preds, releases)+delta, v, q) {
+				continue
 			}
 			f.refresh(v, q, preds)
 			if dl := sl[v] - e.start + delta; better(dl, v, q) {

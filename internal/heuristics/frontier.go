@@ -95,13 +95,18 @@ type frontier struct {
 // refreshed by a single gap search instead of a probe. bound lower-bounds
 // the start of every later probe of the pair (see startBound), which is
 // what lets a scan dispose of a stale pair without probing it. The read-set
-// masks live in the engine's readsC/readsP arenas.
+// masks live in the engine's readsC/readsP arenas. A bound-only entry
+// (ready < 0, see rebound) holds a bound and no scores: it is never served
+// and never fast-refreshed, and a probe of the pair overwrites it.
 type frontierEntry struct {
-	asOf  uint64 // clock the probe ran at; < epoch = never probed this run
+	asOf  uint64 // clock the probe (or rebound) ran at; < epoch = never written this run
 	ready float64
 	start float64
 	bound float64
 }
+
+// boundOnly reports whether the entry holds only a bound (rebound).
+func (e *frontierEntry) boundOnly() bool { return e.ready < 0 }
 
 // frontierScan is the reusable scratch of one engine scan, shared by every
 // clone along one Exhaustive search.
@@ -362,8 +367,9 @@ const (
 // (fastRefresh). Everything else needs a full re-probe. Under
 // OnePortNoOverlap communication placement itself reads compute timelines,
 // so there readsC beyond the candidate forces staleFull, never staleCompute.
+// A bound-only entry has no scores to serve or refresh: always staleFull.
 func (f *frontier) staleKind(v, p int, e *frontierEntry) int {
-	if e.asOf < f.epoch || f.predStamp()[v] > e.asOf {
+	if e.asOf < f.epoch || e.boundOnly() || f.predStamp()[v] > e.asOf {
 		return staleFull
 	}
 	base := (v*f.np + p) * f.maskW
@@ -410,13 +416,13 @@ func (f *frontier) valid(v, p int) bool {
 }
 
 // boundStart returns a sound lower bound on the start a fresh probe of the
-// pair backing e would return: the bound recorded when e was probed in this
-// run (startBound), else 0 — an entry from before the epoch scored a
-// different run and bounds nothing, and 0 lower-bounds every start. It is
-// not the cached start: a stale start is no bound at all (see startBound).
-// Pruning consumers (the DLS bound pass, the Exhaustive prune) must read
-// stale entries through these helpers, and a pair that survives the bound
-// is judged on its exact, refreshed start.
+// pair backing e would return: the bound recorded when e was written in
+// this run (startBound or rebound), else 0 — an entry from before the
+// epoch scored a different run and bounds nothing, and 0 lower-bounds
+// every start. It is not the cached start: a stale start is no bound at
+// all (see startBound). Pruning consumers (the DLS bound pass, the
+// Exhaustive prune) must read stale entries through these helpers, and a
+// pair that survives the bound is judged on its exact, refreshed start.
 func (f *frontier) boundStart(e *frontierEntry) float64 {
 	if e.asOf >= f.epoch {
 		return e.bound
@@ -427,6 +433,25 @@ func (f *frontier) boundStart(e *frontierEntry) float64 {
 // boundFinish is boundStart for the finish of task v.
 func (f *frontier) boundFinish(v, p int, e *frontierEntry) float64 {
 	return f.boundStart(e) + f.s.pl.ExecTime(f.s.g.Weight(v), p)
+}
+
+// rebound takes a fresh start bound for the stale pair (v, p) of a ready
+// task without probing it — state.earliestStart, from the predecessors'
+// sender releases rel — and records it in the pair's entry as a bound-only
+// entry: bound = max(boundStart(e), fresh), asOf = clock. It returns that
+// bound. Both terms stay at or below every later fresh start: the recorded
+// one by startBound's and rebound's contract, the fresh one because
+// earliestStart never decreases as commits add intervals. The max reads
+// the old bound through boundStart, because a bound recorded before the
+// epoch belongs to another run. A later probe of the pair overwrites the
+// entry with scores.
+func (f *frontier) rebound(v, p int, preds []predInfo, rel []float64) float64 {
+	e := &f.entries[v*f.np+p]
+	fresh, _ := f.s.earliestStart(f.s.g.Weight(v), p, preds, rel)
+	e.bound = max(f.boundStart(e), fresh)
+	e.ready = -1
+	e.asOf = f.clock
+	return e.bound
 }
 
 // fastRefresh restores a staleCompute entry: the communication layout (and

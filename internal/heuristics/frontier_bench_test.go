@@ -22,13 +22,27 @@ func benchGraphs() map[string]*graph.Graph {
 	}
 }
 
+// BenchmarkDLS runs DLS on the fig7/fig8 testbeds on the paper platform
+// under one-port, and on LU-30 on a seeded 32-processor platform under link
+// contention, where a bound for unprobed pairs without the sender release
+// once made DLS about 30 % slower.
 func BenchmarkDLS(b *testing.B) {
-	pl := platform.Paper()
+	type dlsCase struct {
+		g     *graph.Graph
+		pl    *platform.Platform
+		model sched.Model
+	}
+	cases := map[string]dlsCase{
+		"lu30-p32-link-contention": {testbeds.LU(30, 10), seededPlatform(b, 1, 32), sched.LinkContention},
+	}
 	for name, g := range benchGraphs() {
+		cases[name] = dlsCase{g, platform.Paper(), sched.OnePort}
+	}
+	for name, c := range cases {
 		b.Run(name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := DLS(g, pl, sched.OnePort); err != nil {
+				if _, err := DLS(c.g, c.pl, c.model); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -360,13 +360,17 @@ func boundPlatforms(t *testing.T) []struct {
 // processor, with the sender releases bestEFT computes, must stay at or
 // below the fresh finish. The walks refresh random rows only now and
 // then, so entries go stale across many commits and through compute-only
-// refreshes. Append-only placement runs both ways: it moves the compute
-// gap search of both bounds. Under each port model that ran, some
+// refreshes. Now and then a walk records a fresh bound in a random stale
+// pair, as DLS's bound pass does (frontier.rebound); each such bound-only
+// entry must keep boundStart at or below the fresh start after every later
+// commit and must never be served as valid, and every model that ran must
+// have checked some. Append-only placement runs both ways: it moves the
+// compute gap search of both bounds. Under each port model that ran, some
 // finishBound checks must have a remote predecessor whose release is past
 // its finish, or the release term went untested.
 func TestFrontierBoundSound(t *testing.T) {
 	checks, loose := 0, 0
-	ran, released := map[sched.Model]bool{}, map[sched.Model]int{}
+	ran, released, recorded := map[sched.Model]bool{}, map[sched.Model]int{}, map[sched.Model]int{}
 	for _, appendOnly := range []bool{false, true} {
 		prefix := ""
 		if appendOnly {
@@ -377,21 +381,27 @@ func TestFrontierBoundSound(t *testing.T) {
 				for seed := int64(1); seed <= 3; seed++ {
 					t.Run(fmt.Sprintf("%s%s/%s/seed%d", prefix, c.name, model, seed), func(t *testing.T) {
 						g := testbeds.RandomLayered(seed, 8, 8, 10, 10)
-						n, l, r := boundWalk(t, g, c.pl, model, appendOnly, rand.New(rand.NewSource(seed)))
+						n, l, r, b := boundWalk(t, g, c.pl, model, appendOnly, rand.New(rand.NewSource(seed)))
 						checks += n
 						loose += l
 						ran[model] = true
 						released[model] += r
+						recorded[model] += b
 					})
 				}
 			}
 		}
 	}
-	t.Logf("%d bound checks, %d with a bound strictly below the fresh start; finishBound checks with a release past its finish: %v",
-		checks, loose, released)
+	t.Logf("%d bound checks, %d with a bound strictly below the fresh start; finishBound checks with a release past its finish: %v; bound-only entry checks: %v",
+		checks, loose, released, recorded)
 	for _, model := range []sched.Model{sched.OnePort, sched.UniPort, sched.OnePortNoOverlap} {
 		if ran[model] && released[model] == 0 {
 			t.Errorf("%s: no finishBound check had a sender release past its predecessor's finish", model)
+		}
+	}
+	for _, model := range sched.Models() {
+		if ran[model] && recorded[model] == 0 {
+			t.Errorf("%s: no check of a bound-only entry", model)
 		}
 	}
 }
@@ -465,10 +475,11 @@ func TestExactSums(t *testing.T) {
 
 // boundWalk runs one randomized commit walk for TestFrontierBoundSound and
 // returns how many engine entries it checked, how many of their bounds
-// were strictly below the fresh start, and how many finishBound checks had
-// a remote predecessor whose sender release is past its finish. Under the
-// models with no sender term every release must be the finish.
-func boundWalk(t *testing.T, g *graph.Graph, pl *platform.Platform, model sched.Model, appendOnly bool, rng *rand.Rand) (checks, loose, released int) {
+// were strictly below the fresh start, how many finishBound checks had a
+// remote predecessor whose sender release is past its finish, and how many
+// of the checked entries were bound-only. Under the models with no sender
+// term every release must be the finish.
+func boundWalk(t *testing.T, g *graph.Graph, pl *platform.Platform, model sched.Model, appendOnly bool, rng *rand.Rand) (checks, loose, released, recorded int) {
 	t.Helper()
 	s, err := newState(g, pl, model, &Tuning{ProbeParallelism: 1})
 	if err != nil {
@@ -485,6 +496,15 @@ func boundWalk(t *testing.T, g *graph.Graph, pl *platform.Platform, model sched.
 		// refresh a random row now and then, so the other rows age
 		if rng.Intn(3) == 0 {
 			f.ensure(ready[rng.Intn(len(ready)):][:1])
+		}
+		// and record a fresh bound in a random stale pair, as DLS's bound
+		// pass does, so bound-only entries age across commits too
+		if rng.Intn(2) == 0 {
+			v, p := ready[rng.Intn(len(ready))], rng.Intn(np)
+			if f.staleKind(v, p, &f.row(v)[p]) == staleFull {
+				preds := s.preds(v)
+				f.rebound(v, p, preds, s.senderReleases(preds))
+			}
 		}
 		for _, v := range ready {
 			preds := s.preds(v)
@@ -524,6 +544,12 @@ func boundWalk(t *testing.T, g *graph.Graph, pl *platform.Platform, model sched.
 				if f.valid(v, p) && e.start != fresh.start {
 					t.Fatalf("task %d proc %d: valid entry start %g, fresh %g", v, p, e.start, fresh.start)
 				}
+				if e.boundOnly() {
+					recorded++
+					if f.valid(v, p) {
+						t.Fatalf("task %d proc %d: bound-only entry (bound %g) served as valid", v, p, e.bound)
+					}
+				}
 			}
 		}
 		// commit a random ready task on a random processor
@@ -533,7 +559,7 @@ func boundWalk(t *testing.T, g *graph.Graph, pl *platform.Platform, model sched.
 		s.commit(v, f.placementFor(v, rng.Intn(np)))
 		ready = append(ready, rl.release(v)...)
 	}
-	return checks, loose, released
+	return checks, loose, released, recorded
 }
 
 // TestBestEFTMatchesReference is the differential pin of the bound-seeded
@@ -759,7 +785,11 @@ func TestFrontierSharedPathInvalidation(t *testing.T) {
 // across heuristics sharing one Scratch. The warm reset is O(1): old
 // entries and stamps are not zeroed, they are invalidated wholesale by the
 // epoch bump, so a reused engine serving a pre-epoch score (or using one as
-// a monotone bound) would show up here as a schedule diff.
+// a monotone bound) would show up here as a schedule diff. The last case
+// runs DLS on a heavy LU, every weight and data volume × 50, then on the
+// plain one with the same Scratch, under every model: the heavy run leaves
+// large bounds in the entries, and a bound pass that folded them into a
+// fresh bound (rebound) would skip pairs the light run needs.
 func TestFrontierScratchReuse(t *testing.T) {
 	paper := platform.Paper()
 	small, err := platform.Homogeneous(3)
@@ -818,6 +848,34 @@ func TestFrontierScratchReuse(t *testing.T) {
 		}
 		if err := sameSchedule(wantEx, gotEx); err != nil {
 			t.Fatalf("rep %d Exhaustive: %v", rep, err)
+		}
+	}
+
+	heavy := lu.Clone()
+	for v := range heavy.NumNodes() {
+		if err := heavy.SetWeight(v, 50*heavy.Weight(v)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, e := range heavy.Edges() {
+		if err := heavy.SetEdgeData(e.From, e.To, 50*e.Data); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, model := range sched.Models() {
+		want, err := dlsReference(lu, paper, model)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := dlsRun(heavy, paper, model, tune); err != nil {
+			t.Fatal(err)
+		}
+		got, err := dlsRun(lu, paper, model, tune)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := sameSchedule(want, got); err != nil {
+			t.Errorf("%s: DLS lu after the heavy lu: %v", model, err)
 		}
 	}
 }

@@ -655,23 +655,30 @@ func (s *state) senderReleases(preds []predInfo) []float64 {
 	return rel
 }
 
-// finishBound returns a lower bound on the finish a probe of a task of
-// weight w on processor p would return, without probing; rel holds the
-// predecessors' sender releases (senderReleases). A local predecessor
-// contributes its finish. A remote one contributes its release plus its
-// route's hop durations — the same CommTime terms placeComm adds, in the
-// same order. A gap search on p's committed compute timeline from the
-// latest of them (after the append-only horizon) plus the execution time
-// gives the bound. It is sound because the probe's first hop starts no
-// earlier than the release (it searches from the predecessor's finish, on
-// the same timelines plus more, for a window at least as long), a later
-// hop never starts before the previous one ends, a gap search never
-// returns earlier from a later start or on a superset of busy intervals
-// (the probe searches the committed timeline plus its own overlay), and
-// the same float sums, added in the same order, round monotonically. A
-// search from at or past the timeline's last busy end returns its start,
-// so that case skips it.
-func (s *state) finishBound(w float64, p int, preds []predInfo, rel []float64) float64 {
+// earliestStart returns a lower bound on the start a probe of a task of
+// weight w on processor p would return, without probing, and the task's
+// execution time on p; rel holds the predecessors' sender releases
+// (senderReleases). A local predecessor contributes its finish. A remote
+// one contributes its release plus its route's hop durations — the same
+// CommTime terms placeComm adds, in the same order. A gap search on p's
+// committed compute timeline from the latest of them (after the
+// append-only horizon) gives the bound. It is sound because the probe's
+// first hop starts no earlier than the release (it searches from the
+// predecessor's finish, on the same timelines plus more, for a window at
+// least as long), a later hop never starts before the previous one ends, a
+// gap search never returns earlier from a later start or on a superset of
+// busy intervals (the probe searches the committed timeline plus its own
+// overlay), and the same float sums, added in the same order, round
+// monotonically. A search from at or past the timeline's last busy end
+// returns its start, so that case skips it.
+//
+// For a ready task the bound never decreases as commits add intervals: its
+// predecessor list is fixed, every release and the compute search are gap
+// searches on timelines that only gain intervals, and the same sums are
+// added in the same order. So a bound taken at one commit stays at or
+// below every later probe's start, which is what lets the DLS bound pass
+// record it (frontier.rebound).
+func (s *state) earliestStart(w float64, p int, preds []predInfo, rel []float64) (start, dur float64) {
 	ready := 0.0
 	for i := range preds {
 		pr := &preds[i]
@@ -686,7 +693,7 @@ func (s *state) finishBound(w float64, p int, preds []predInfo, rel []float64) f
 			ready = t
 		}
 	}
-	dur := s.pl.ExecTime(w, p)
+	dur = s.pl.ExecTime(w, p)
 	if last := s.compute[p].LastEnd(); last > ready {
 		if s.appendOnly {
 			ready = last
@@ -694,7 +701,15 @@ func (s *state) finishBound(w float64, p int, preds []predInfo, rel []float64) f
 			ready = s.compute[p].EarliestGap(ready, dur)
 		}
 	}
-	return ready + dur
+	return ready, dur
+}
+
+// finishBound returns a lower bound on the finish a probe of a task of
+// weight w on processor p would return, without probing: earliestStart's
+// bound plus the execution time.
+func (s *state) finishBound(w float64, p int, preds []predInfo, rel []float64) float64 {
+	start, dur := s.earliestStart(w, p, preds, rel)
+	return start + dur
 }
 
 // bestEFT returns the placement of task v with the earliest finish time

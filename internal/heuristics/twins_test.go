@@ -14,7 +14,7 @@ import (
 // cycle-times cycle through {3, 5, 6, 10, 15} in seeded order, with seeded
 // symmetric link costs in {0.5, 1, 2}: the recipe of the benchmark's
 // generated platforms.
-func seededPlatform(t *testing.T, seed int64, p int) *platform.Platform {
+func seededPlatform(t testing.TB, seed int64, p int) *platform.Platform {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	cycles := make([]float64, p)
@@ -189,16 +189,21 @@ func scratchCounts(sc *Scratch) (probes, msgs int) {
 	return probes, msgs
 }
 
-// TestProbeCounts pins the probes two runs issue at probe parallelism 1,
+// TestProbeCounts pins the probes three runs issue at probe parallelism 1,
 // and the messages those probes place. The counts move only when the scan
 // changes what it probes or how far a probe goes, never with speed; a
 // change here must be deliberate. Before the bound-seeded bestEFT and
-// DLS's twin classes, these runs issued 285,133 (DLS) and 18,290 (HEFT)
-// probes. Before probes stopped at the incumbent, the HEFT run placed
-// 20,777 messages; the DLS run, whose frontier probes all run in full,
-// placed as many as now. Before finishBound waited for each remote
-// predecessor's sender release, the HEFT run issued 12,119 probes placing
-// 16,187 messages; DLS does not call bestEFT, so its counts held.
+// DLS's twin classes, the fork-join and HEFT runs issued 285,133 (DLS) and
+// 18,290 (HEFT) probes. Before probes stopped at the incumbent, the HEFT
+// run placed 20,777 messages; DLS's frontier probes always run in full, so
+// the cut left its messages as they were. Before finishBound waited for
+// each remote predecessor's sender release, the HEFT run issued 12,119
+// probes placing 16,187 messages. Before DLS's bound pass took a fresh
+// sender-release bound for each stale pair its recorded bound could not
+// rule out, and kept it in the entry (rebound), the DLS runs issued 9,887
+// probes placing 18,776 messages (fork-join) and 16,904 placing 29,921 (LU
+// under link contention, the instance a static bound for unprobed pairs
+// once made slower).
 func TestProbeCounts(t *testing.T) {
 	cases := []struct {
 		name         string
@@ -207,7 +212,10 @@ func TestProbeCounts(t *testing.T) {
 	}{
 		{"dls/forkjoin300/p32/one-port", func(tune *Tuning) (*sched.Schedule, error) {
 			return dlsRun(testbeds.ForkJoin(300, 10), seededPlatform(t, 1, 32), sched.OnePort, tune)
-		}, 9887, 18776},
+		}, 716, 448},
+		{"dls/lu30/p32/link-contention", func(tune *Tuning) (*sched.Schedule, error) {
+			return dlsRun(testbeds.LU(30, 10), seededPlatform(t, 1, 32), sched.LinkContention, tune)
+		}, 2416, 3352},
 		{"heft/lu60/paper/one-port", func(tune *Tuning) (*sched.Schedule, error) {
 			return heftRun(testbeds.LU(60, 10), platform.Paper(), sched.OnePort, false, tune)
 		}, 3656, 4793},
