@@ -101,7 +101,6 @@ func main() {
 		addr     = flag.String("addr", ":8642", "listen address (serve mode)")
 		pool     = flag.Int("pool", 0, "worker pool size (0: GOMAXPROCS)")
 		cacheSz  = flag.Int("cache", 256, "LRU result-cache entries (negative disables)")
-		probePar = flag.Int("probe-par", 1, "per-run probe parallelism")
 		worker   = flag.Bool("worker", false, "also serve the sweep worker endpoint /sweep/run")
 		peers    = flag.String("peers", "", "comma list of ALL replica base URLs forming the distributed cache ring (same list on every replica)")
 		self     = flag.String("self", "", "this replica's base URL within -peers")
@@ -146,7 +145,7 @@ func main() {
 			jstore, err = journalStore(*sessDir, *sessSync)
 		}
 		if err == nil {
-			err = serve(*addr, *pool, *cacheSz, *probePar, *worker, *self, *peers, *admin, *timeout, *drain, *maxSess, *sessTTL, admCfg, jstore)
+			err = serve(*addr, *pool, *cacheSz, *worker, *self, *peers, *admin, *timeout, *drain, *maxSess, *sessTTL, admCfg, jstore)
 		}
 	}
 	if err != nil {
@@ -191,7 +190,7 @@ func admissionConfig(enabled bool, queueBudget time.Duration, quotaSpec string) 
 	return cfg, nil
 }
 
-func serve(addr string, pool, cacheSz, probePar int, worker bool, self, peers, adminToken string, timeout, drain time.Duration, maxSessions int, sessionTTL time.Duration, admCfg *admit.Config, jstore *journal.Store) error {
+func serve(addr string, pool, cacheSz int, worker bool, self, peers, adminToken string, timeout, drain time.Duration, maxSessions int, sessionTTL time.Duration, admCfg *admit.Config, jstore *journal.Store) error {
 	var peerList []string
 	if peers != "" {
 		if self == "" {
@@ -203,7 +202,7 @@ func serve(addr string, pool, cacheSz, probePar int, worker bool, self, peers, a
 		}
 	}
 	srv := service.New(service.Config{
-		PoolSize: pool, CacheSize: cacheSz, ProbeParallelism: probePar,
+		PoolSize: pool, CacheSize: cacheSz,
 		Self: self, Peers: peerList,
 		AdminToken: adminToken, RequestTimeout: timeout,
 		MaxSessions: maxSessions, SessionTTL: sessionTTL,

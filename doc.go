@@ -47,9 +47,9 @@
 //	go run ./cmd/schedserve -sweep fig8 -sizes quick \
 //	    -shards http://host1:8642,http://host2:8642
 //
-// See README.md for a tour, DESIGN.md for the system inventory (the
-// "Service layer" section documents endpoints, the job protocol, the cache
-// key and the pooling invariants) and EXPERIMENTS.md for paper-versus-
-// measured results. Entry points live under cmd/ (onesched, experiments,
-// bsweep, graphgen, schedserve) and examples/.
+// See DESIGN.md for the system inventory (the "Service layer" section
+// documents endpoints, the job protocol, the cache key and the pooling
+// invariants), and run go run ./cmd/experiments for paper-versus-measured
+// results. Entry points live under cmd/ (onesched, experiments, bsweep,
+// graphgen, schedcheck, schedserve) and examples/.
 package oneport

@@ -141,17 +141,16 @@ func dlsRun(g *graph.Graph, pl *platform.Platform, model sched.Model, tune *Tuni
 	sc.admit(s, ready, sl, rel.initial())
 	// Every step computes the exact argmax over all (ready task, processor)
 	// pairs by the total order (DL desc, task id asc, proc id asc) — exactly
-	// the pair the former ascending-id strict-improvement scan kept — at
-	// any probe parallelism, so schedules never depend on it. The ready list
-	// holds one task per class of interchangeable ones (frontierScan.admit).
-	// A step scores the fresh and compute-refreshed entries, then visits the
-	// staleFull pairs in a bound pass: a pair whose DL upper bound
-	// sl − boundStart + Δ cannot beat the incumbent under the full tie-break
-	// can never be the argmax and is skipped without a probe. The rest get
-	// a fresh start bound from their task's sender releases (rebound),
-	// which the entry keeps, so a pair that bound rules out costs later
-	// steps one O(1) check until the incumbent comes close enough; a pair
-	// the fresh bound cannot rule out either is re-probed exactly once.
+	// the pair the former ascending-id strict-improvement scan kept. The
+	// ready list holds one task per class of interchangeable ones
+	// (frontierScan.admit). A step scores the fresh and compute-refreshed
+	// entries, then visits the staleFull pairs in a bound pass: a pair whose
+	// DL upper bound sl − boundStart + Δ cannot beat the incumbent under the
+	// full tie-break can never be the argmax and is skipped without a probe.
+	// The rest get a fresh start bound from their task's sender releases
+	// (rebound), which the entry keeps, so a pair that bound rules out costs
+	// later steps one O(1) check until the incumbent comes close enough; a
+	// pair the fresh bound cannot rule out either is re-probed exactly once.
 	for !ready.empty() {
 		bestV, bestP, bestDL := -1, -1, math.Inf(-1)
 		better := func(dl float64, v, q int) bool {

@@ -21,10 +21,9 @@ import (
 //
 // The (ready task × processor) expansion scores come from the frontier-probe
 // engine: each DFS node revalidates only the pairs its parent's one commit
-// perturbed (a cloned child inherits the parent's cache) and probes them in
-// parallel, while pruning and expansion order — and therefore the result and
-// the completion flag — are byte-identical to the uncached sequential
-// search.
+// perturbed (a cloned child inherits the parent's cache), while pruning and
+// expansion order — and therefore the result and the completion flag — are
+// byte-identical to the uncached search.
 //
 // The search is exponential; nodeBudget caps the number of DFS expansions.
 // The returned flag reports whether the search ran to completion (true) or
@@ -33,8 +32,7 @@ func Exhaustive(g *graph.Graph, pl *platform.Platform, model sched.Model, nodeBu
 	return ExhaustiveTuned(g, pl, model, nodeBudget, nil)
 }
 
-// ExhaustiveTuned is Exhaustive with a per-run Tuning: ProbeParallelism
-// caps (1 forces off) the frontier engine's probe fan-out, and a Scratch is
+// ExhaustiveTuned is Exhaustive with a per-run Tuning, whose Scratch is
 // recycled like in every other tuned runner.
 func ExhaustiveTuned(g *graph.Graph, pl *platform.Platform, model sched.Model, nodeBudget int, tune *Tuning) (*sched.Schedule, bool, error) {
 	if nodeBudget <= 0 {
@@ -92,49 +90,24 @@ func ExhaustiveTuned(g *graph.Graph, pl *platform.Platform, model sched.Model, n
 		// pair's true start (frontier.startBound), so a pair the bound prunes
 		// is pruned without ever re-probing it (the reference search, seeing
 		// the no-smaller true start, prunes it too), and every pair that
-		// survives the bound is judged again on its exact start. With a
-		// parallel budget the surviving invalid pairs are swept up front
-		// through the worker pool; sequentially the walk is lazy and each
-		// survivor is probed exactly once (the refreshing probe doubles as
-		// the expansion's placement).
-		batch := st.par > 1
-		if batch {
-			f := st.frontier
-			f.ensureFiltered(ready, func(v, p int, e *frontierEntry) bool {
-				return f.boundStart(e)+blw[v] < bestSpan
-			})
-		}
+		// survives the bound is re-probed up front and judged again on its
+		// exact start.
+		f := st.frontier
+		f.ensureFiltered(ready, func(v, p int, e *frontierEntry) bool {
+			return f.boundStart(e)+blw[v] < bestSpan
+		})
 		for ri, v := range ready {
-			// preds are only needed by the lazy staleFull refreshes below;
-			// a row served from cache or bound-pruned never fetches them
-			var preds []predInfo
-			havePreds := false
-			row := st.frontier.row(v)
+			row := f.row(v)
 			for q := 0; q < np; q++ {
 				e := &row[q]
 				// prune on the lower bound first: it holds for stale entries
-				if st.frontier.boundStart(e)+blw[v] >= bestSpan {
+				if f.boundStart(e)+blw[v] >= bestSpan {
 					continue
 				}
-				var plc placement
-				haveComms := false
-				if !batch {
-					switch st.frontier.staleKind(v, q, e) {
-					case staleCompute:
-						st.frontier.fastRefresh(v, q, e)
-					case staleFull:
-						if !havePreds {
-							preds = st.preds(v)
-							havePreds = true
-						}
-						plc = st.frontier.refresh(v, q, preds)
-						haveComms = true
-					}
-				}
-				// the entry is exact now (the batch sweep refreshed every
-				// pair whose bound could still pass, and bestSpan only
-				// shrinks): re-check against the exact start, which a bound
-				// below it must not stand in for
+				// the entry is exact now (the sweep refreshed every pair whose
+				// bound could still pass, and bestSpan only shrinks): re-check
+				// against the exact start, which a bound below it must not
+				// stand in for
 				if e.start+blw[v] >= bestSpan {
 					continue
 				}
@@ -148,14 +121,12 @@ func ExhaustiveTuned(g *graph.Graph, pl *platform.Platform, model sched.Model, n
 					exhausted = true
 					return
 				}
-				if !haveComms {
-					plc = st.frontier.placementFor(v, q)
-				}
+				plc := f.placementFor(v, q)
 				child := st.clone()
 				// the DFS is strictly sequential and probes fully reset
-				// their buffer, so the whole search shares one buffer set
+				// their buffer, so the whole search shares one buffer
 				// instead of lazily growing one per cloned state
-				child.bufs = st.bufs
+				child.pbuf = st.pbuf
 				child.commit(v, plc)
 				nm := curMax
 				if plc.finish > nm {
@@ -177,7 +148,7 @@ func ExhaustiveTuned(g *graph.Graph, pl *platform.Platform, model sched.Model, n
 				}
 				// the child subtree is fully explored: recycle its engine
 				// clone for the next branch
-				st.frontier.scan.recycle(child.frontier)
+				f.scan.recycle(child.frontier)
 			}
 		}
 	}

@@ -5,13 +5,12 @@ import (
 	"math"
 	"math/bits"
 	"slices"
-	"sync"
 
 	"oneport/internal/sched"
 )
 
-// This file implements the frontier-probe engine: an incremental, cached and
-// parallel evaluator of the (ready task × processor) probe matrix that the
+// This file implements the frontier-probe engine: an incremental, cached
+// evaluator of the (ready task × processor) probe matrix that the
 // whole-frontier heuristics scan at every scheduling step. DLS maximizes a
 // dynamic level over all pairs and the Exhaustive branch-and-bound expands
 // every pair; before the engine each of them re-probed every pair from
@@ -39,12 +38,9 @@ import (
 // task's pred set changed since it was computed. Probes are pure functions
 // of the committed timelines, so a cache hit is bit-for-bit the placement a
 // fresh probe would produce, and schedules are byte-identical to the
-// uncached sequential implementations. The remaining invalid pairs of a
-// step are fanned out across the shared probe worker pool (each worker owns
-// its probeBuf and writes disjoint entries), which is equally exact: every
-// pair is a pure function of the committed state and the reductions below
-// use total orders — (score, task id, proc id) — that do not depend on
-// evaluation order. See DESIGN.md, "Frontier engine".
+// uncached implementations. The reductions use total orders — (score, task
+// id, proc id) — that do not depend on evaluation order. See DESIGN.md,
+// "Frontier engine".
 type frontier struct {
 	s  *state
 	np int // processor count
@@ -80,9 +76,9 @@ type frontier struct {
 	entries        []frontierEntry
 	readsC, readsP []uint64
 
-	// scan is the ensure/materialize scratch. The DFS of the Exhaustive
-	// search runs strictly sequentially, so every cloned state along one
-	// search shares its root's scratch instead of growing its own.
+	// scan is the scan scratch. The DFS of the Exhaustive search runs
+	// strictly sequentially, so every cloned state along one search shares
+	// its root's scratch instead of growing its own.
 	scan *frontierScan
 }
 
@@ -111,12 +107,9 @@ func (e *frontierEntry) boundOnly() bool { return e.ready < 0 }
 // frontierScan is the reusable scratch of one engine scan, shared by every
 // clone along one Exhaustive search.
 type frontierScan struct {
-	pairs     []probePair
 	predArena []predInfo
 	stale     []probePair // DLS: the staleFull pairs its bound pass visits
-	jobs      []frontierJob
 	free      []*frontier // recycled per-branch clones (Exhaustive)
-	wg        sync.WaitGroup
 
 	// DLS's classes of interchangeable tasks (admit): next[v] is the
 	// member after v in its class, in ascending id order, or -1; heads is
@@ -204,31 +197,8 @@ func samePreds(a, b []predInfo) bool {
 	return true
 }
 
-// probePair is one invalid (task, processor) pair queued for re-probing;
-// the task's predecessors live at predArena[off : off+n].
-type probePair struct {
-	v, p   int32
-	off, n int32
-}
-
-// frontierJob is one worker's share of a parallel ensure — the contiguous
-// pair slice [lo, hi) — dispatched to the shared probe pool.
-type frontierJob struct {
-	f          *frontier
-	wi, lo, hi int
-}
-
-func (j *frontierJob) run() {
-	j.f.probeSlice(j.wi, j.lo, j.hi)
-	j.f.scan.wg.Done()
-}
-
-// abort releases the scan latch after run panicked, recording the fault on
-// the engine's bound state for the dispatcher to re-raise.
-func (j *frontierJob) abort(fault any) {
-	j.f.s.noteFault(fault)
-	j.f.scan.wg.Done()
-}
+// probePair is one stale (task, processor) pair.
+type probePair struct{ v, p int32 }
 
 // attachFrontier creates (or, when the state carries lent scratch, revives)
 // the frontier engine for st and hooks it into st.commit so every commit
@@ -482,23 +452,17 @@ func (f *frontier) fastRefresh(v, p int, e *frontierEntry) {
 }
 
 // ensure makes every (task, processor) entry of the given ready tasks valid,
-// re-probing the invalid pairs — in parallel across the shared worker pool
-// when the run allows it and the batch is large enough. Tasks must be ready
-// (all preds placed).
+// re-probing the invalid pairs. Tasks must be ready (all preds placed).
 func (f *frontier) ensure(tasks []int) { f.ensureFiltered(tasks, nil) }
 
 // ensureFiltered is ensure with a pair filter: pairs for which keep returns
 // false are left stale (the caller has proven, e.g. from the monotone lower
 // bound a stale score provides, that it will never read them fresh).
 func (f *frontier) ensureFiltered(tasks []int, keep func(v, p int, e *frontierEntry) bool) {
-	s := f.s
-	sc := f.scan
-	sc.pairs = sc.pairs[:0]
-	sc.predArena = sc.predArena[:0]
-	work := 0
 	for _, v := range tasks {
-		row := f.entries[v*f.np : (v+1)*f.np]
-		off, n := int32(-1), int32(0)
+		row := f.row(v)
+		var preds []predInfo
+		havePreds := false
 		for p := range row {
 			switch f.staleKind(v, p, &row[p]) {
 			case staleNone:
@@ -510,70 +474,11 @@ func (f *frontier) ensureFiltered(tasks []int, keep func(v, p int, e *frontierEn
 			if keep != nil && !keep(v, p, &row[p]) {
 				continue
 			}
-			if off < 0 {
-				off = int32(len(sc.predArena))
-				sc.predArena = s.predsInto(sc.predArena, v)
-				n = int32(len(sc.predArena)) - off
+			if !havePreds {
+				preds, havePreds = f.s.preds(v), true
 			}
-			sc.pairs = append(sc.pairs, probePair{v: int32(v), p: int32(p), off: off, n: n})
-			work += int(n) + 1
+			f.refresh(v, p, preds)
 		}
-	}
-	n := len(sc.pairs)
-	if n == 0 {
-		return
-	}
-	w := s.par
-	if w > n {
-		w = n
-	}
-	if w <= 1 || work < probeParallelGrain {
-		s.buf(0)
-		f.probeSlice(0, 0, n)
-		return
-	}
-	s.buf(w - 1) // materialize every worker buf before the fan-out
-	for len(sc.jobs) < w {
-		sc.jobs = append(sc.jobs, frontierJob{})
-	}
-	// contiguous slices of about equal probe work: worker wi takes the pairs
-	// whose running work total starts in [wi·work/w, (wi+1)·work/w), so
-	// a row's pairs — same task, same preds — mostly stay on one worker
-	lo, acc, nj := 0, 0, 0
-	for k := 0; k < n; k++ {
-		acc += int(sc.pairs[k].n) + 1
-		if nj < w-1 && acc*w >= (nj+1)*work {
-			sc.jobs[nj] = frontierJob{f: f, wi: nj, lo: lo, hi: k + 1}
-			lo = k + 1
-			nj++
-		}
-	}
-	if lo < n {
-		sc.jobs[nj] = frontierJob{f: f, wi: nj, lo: lo, hi: n}
-		nj++
-	}
-	jobs := poolJobs()
-	sc.wg.Add(nj - 1)
-	for j := 1; j < nj; j++ {
-		jobs <- &sc.jobs[j]
-	}
-	f.probeSlice(0, sc.jobs[0].lo, sc.jobs[0].hi)
-	sc.wg.Wait()
-	s.refault()
-}
-
-// probeSlice re-probes pairs [lo, hi) with worker wi's probeBuf, recording
-// scores and read sets into the pairs' (disjoint) entries. During a fan-out
-// everything it reads — committed timelines, pairs, the pred arena, routes
-// — is frozen, so slices race with nothing.
-func (f *frontier) probeSlice(wi, lo, hi int) {
-	s := f.s
-	b := s.bufs[wi]
-	for k := lo; k < hi; k++ {
-		pr := &f.scan.pairs[k]
-		preds := f.scan.predArena[pr.off : pr.off+pr.n]
-		pl := s.probeWith(b, int(pr.v), int(pr.p), preds)
-		f.record(b, int(pr.v), int(pr.p), preds, pl)
 	}
 }
 
@@ -684,13 +589,13 @@ func exactSums(hops []lastHop) bool {
 	return maxRel+total < 1<<43
 }
 
-// refresh probes pair (v, p) with the sequential buf, records its entry and
-// returns the full placement (comms in probe scratch: commit or copy it
-// before the next probe on this state). It is the lazy, one-pair analogue
-// of ensure used by the DLS bound pass and the branch-and-bound, which can
-// often dispose of a pair on its bound without ever probing it.
+// refresh probes pair (v, p) with the state's probe buffer, records its
+// entry and returns the full placement (comms in probe scratch: commit or
+// copy it before the next probe on this state). It is the one-pair step of
+// ensure, and the DLS bound pass calls it for the pairs its bounds cannot
+// dispose of.
 func (f *frontier) refresh(v, p int, preds []predInfo) placement {
-	b := f.s.buf(0)
+	b := f.s.buf()
 	pl := f.s.probeWith(b, v, p, preds)
 	f.record(b, v, p, preds, pl)
 	return pl
@@ -742,9 +647,9 @@ func (f *frontier) row(v int) []frontierEntry {
 // placementFor materializes the full placement of one (typically winning)
 // pair by re-running its probe. Probes are pure, so the result carries
 // exactly the scores the cached entry holds. The placement's comms live in
-// the state's sequential probe scratch: commit (or copy) it before the next
-// probe on this state.
+// the state's probe scratch: commit (or copy) it before the next probe on
+// this state.
 func (f *frontier) placementFor(v, p int) placement {
 	s := f.s
-	return s.probeWith(s.buf(0), v, p, s.preds(v))
+	return s.probe(v, p, s.preds(v))
 }

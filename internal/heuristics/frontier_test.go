@@ -50,35 +50,27 @@ func frontierCases() []struct {
 }
 
 // TestDLSFrontierDeterminism pins the tentpole guarantee: the engine-backed
-// DLS — cached scores, fine-grained invalidation, parallel re-probing —
-// produces schedules byte-identical to the pre-engine reference loop, for
-// every communication model, on dense and routed platforms, sequential and
-// parallel. Run under -race this also exercises the fan-out's data-sharing
-// argument.
+// DLS — cached scores, fine-grained invalidation, bound pass — produces
+// schedules byte-identical to the pre-engine reference loop, for every
+// communication model, on dense and routed platforms.
 //
 // The one-port and uni-port cases below are where a scan that pruned on
-// stale starts missed the argmax at parallelism 1: under one-port rules a
-// commit can lower a pair's start (see frontier.startBound), so only a
-// sound bound keeps every parallelism on the reference schedule.
+// stale starts missed the argmax: under one-port rules a commit can lower
+// a pair's start (see frontier.startBound), so only a sound bound keeps
+// DLS on the reference schedule.
 func TestDLSFrontierDeterminism(t *testing.T) {
-	oldGrain := probeParallelGrain
-	probeParallelGrain = 2 // force the parallel path onto nearly every step
-	defer func() { probeParallelGrain = oldGrain }()
-
 	check := func(t *testing.T, g *graph.Graph, pl *platform.Platform, model sched.Model) {
 		t.Helper()
 		ref, err := dlsReference(g, pl, model)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, par := range []int{1, 2, 8} {
-			got, err := dlsRun(g, pl, model, &Tuning{ProbeParallelism: par})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := sameSchedule(ref, got); err != nil {
-				t.Fatalf("par %d: %v", par, err)
-			}
+		got, err := dlsRun(g, pl, model, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := sameSchedule(ref, got); err != nil {
+			t.Fatal(err)
 		}
 	}
 	for _, c := range frontierCases() {
@@ -123,10 +115,6 @@ func TestDLSFrontierDeterminism(t *testing.T) {
 // TestBILFrontierDeterminism is the same pin for BIL's level scan, which
 // runs on bestEFT: its rows are always fresh, so it has no engine.
 func TestBILFrontierDeterminism(t *testing.T) {
-	oldGrain := probeParallelGrain
-	probeParallelGrain = 2
-	defer func() { probeParallelGrain = oldGrain }()
-
 	for _, c := range frontierCases() {
 		for _, model := range sched.Models() {
 			t.Run(fmt.Sprintf("%s/%s", c.name, model), func(t *testing.T) {
@@ -134,14 +122,12 @@ func TestBILFrontierDeterminism(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				for _, par := range []int{1, 8} {
-					got, err := bilRun(c.g, c.pl, model, &Tuning{ProbeParallelism: par})
-					if err != nil {
-						t.Fatal(err)
-					}
-					if err := sameSchedule(ref, got); err != nil {
-						t.Fatalf("par %d: %v", par, err)
-					}
+				got, err := bilRun(c.g, c.pl, model, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := sameSchedule(ref, got); err != nil {
+					t.Fatal(err)
 				}
 			})
 		}
@@ -151,10 +137,6 @@ func TestBILFrontierDeterminism(t *testing.T) {
 // TestCPOPFrontierDeterminism is the same pin for CPOP, whose off-path
 // processor scan runs on bestEFT like BIL's.
 func TestCPOPFrontierDeterminism(t *testing.T) {
-	oldGrain := probeParallelGrain
-	probeParallelGrain = 2
-	defer func() { probeParallelGrain = oldGrain }()
-
 	for _, c := range frontierCases() {
 		for _, model := range sched.Models() {
 			t.Run(fmt.Sprintf("%s/%s", c.name, model), func(t *testing.T) {
@@ -162,14 +144,12 @@ func TestCPOPFrontierDeterminism(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				for _, par := range []int{1, 8} {
-					got, err := cpopRun(c.g, c.pl, model, &Tuning{ProbeParallelism: par})
-					if err != nil {
-						t.Fatal(err)
-					}
-					if err := sameSchedule(ref, got); err != nil {
-						t.Fatalf("par %d: %v", par, err)
-					}
+				got, err := cpopRun(c.g, c.pl, model, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := sameSchedule(ref, got); err != nil {
+					t.Fatal(err)
 				}
 			})
 		}
@@ -177,15 +157,11 @@ func TestCPOPFrontierDeterminism(t *testing.T) {
 }
 
 // TestExhaustiveFrontierDeterminism pins the branch-and-bound: with the
-// engine (inherited caches, parallel probing) the search must visit the same
-// tree — same best schedule, byte for byte, and the same completion flag —
-// as the reference, exhaustively on small instances and under a budget
-// cutoff.
+// engine (inherited caches, the bound-filtered sweep) the search must visit
+// the same tree — same best schedule, byte for byte, and the same
+// completion flag — as the reference, exhaustively on small instances and
+// under a budget cutoff.
 func TestExhaustiveFrontierDeterminism(t *testing.T) {
-	oldGrain := probeParallelGrain
-	probeParallelGrain = 2
-	defer func() { probeParallelGrain = oldGrain }()
-
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		g := randomLayeredDAG(r, 6)
@@ -200,20 +176,18 @@ func TestExhaustiveFrontierDeterminism(t *testing.T) {
 				if err != nil {
 					continue // tiny budget found nothing: also true for the engine
 				}
-				for _, par := range []int{1, 8} {
-					got, gotDone, err := ExhaustiveTuned(g, pl, model, budget, &Tuning{ProbeParallelism: par})
-					if err != nil {
-						t.Logf("seed %d %v budget %d: %v", seed, model, budget, err)
-						return false
-					}
-					if gotDone != refDone {
-						t.Logf("seed %d %v budget %d: complete=%v, reference %v", seed, model, budget, gotDone, refDone)
-						return false
-					}
-					if err := sameSchedule(ref, got); err != nil {
-						t.Logf("seed %d %v budget %d par %d: %v", seed, model, budget, par, err)
-						return false
-					}
+				got, gotDone, err := Exhaustive(g, pl, model, budget)
+				if err != nil {
+					t.Logf("seed %d %v budget %d: %v", seed, model, budget, err)
+					return false
+				}
+				if gotDone != refDone {
+					t.Logf("seed %d %v budget %d: complete=%v, reference %v", seed, model, budget, gotDone, refDone)
+					return false
+				}
+				if err := sameSchedule(ref, got); err != nil {
+					t.Logf("seed %d %v budget %d: %v", seed, model, budget, err)
+					return false
 				}
 			}
 		}
@@ -481,7 +455,7 @@ func TestExactSums(t *testing.T) {
 // term every release must be the finish.
 func boundWalk(t *testing.T, g *graph.Graph, pl *platform.Platform, model sched.Model, appendOnly bool, rng *rand.Rand) (checks, loose, released, recorded int) {
 	t.Helper()
-	s, err := newState(g, pl, model, &Tuning{ProbeParallelism: 1})
+	s, err := newState(g, pl, model, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -569,14 +543,10 @@ func boundWalk(t *testing.T, g *graph.Graph, pl *platform.Platform, model sched.
 // processors and for random candidate subsets (ILHA's CapStep2 passes
 // ascending ones; shuffled ones check that ties go by position, not by
 // processor), under every model, on the bound platforms, with append-only
-// on and off, at probe parallelism 1 and 8 with the fan-out forced onto
-// nearly every scan. The same walks check the probe's cut at the incumbent
-// (checkCuts) on the random subsets.
+// on and off. The same walks check the probe's cut at the incumbent
+// (checkCuts) on the random subsets. The par1 and par8 legs set the
+// deprecated Tuning.ProbeParallelism to 1 and 8, which must change nothing.
 func TestBestEFTMatchesReference(t *testing.T) {
-	oldGrain := probeParallelGrain
-	probeParallelGrain = 2
-	defer func() { probeParallelGrain = oldGrain }()
-
 	var n eftCounts
 	for _, c := range boundPlatforms(t) {
 		for _, model := range sched.Models() {
@@ -691,7 +661,7 @@ func checkCuts(t *testing.T, s *state, b *probeBuf, v int, cands []int, rng *ran
 			n.tieAbove++
 		}
 		for _, k := range incs {
-			inc := workerBest{pl: fulls[k], pos: k}
+			inc := incumbent{pl: fulls[k], pos: k}
 			got, cut := s.probeAgainst(b, v, candidateAt(cands, j), preds, &inc, j)
 			if cut {
 				n.cut++
@@ -816,7 +786,7 @@ func TestFrontierScratchReuse(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	tune := &Tuning{ProbeParallelism: 1, Scratch: NewScratch()}
+	tune := &Tuning{Scratch: NewScratch()}
 	for rep := 0; rep < 3; rep++ {
 		got, err := dlsRun(lu, paper, sched.OnePort, tune)
 		if err != nil {

@@ -1,10 +1,8 @@
 package heuristics
 
 import (
-	"fmt"
 	"testing"
 
-	"oneport/internal/graph"
 	"oneport/internal/platform"
 	"oneport/internal/sched"
 	"oneport/internal/testbeds"
@@ -51,7 +49,7 @@ func halfScheduledLU(tb testing.TB, pl *platform.Platform, n int, tune *Tuning) 
 func BenchmarkProbeMicro(b *testing.B) {
 	s, target := halfScheduledLU(b, platform.Paper(), 30, nil)
 	preds := s.preds(target)
-	buf := s.buf(0)
+	buf := s.buf()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -61,9 +59,9 @@ func BenchmarkProbeMicro(b *testing.B) {
 
 // BenchmarkBestEFT times one whole earliest-finish scan — sender releases,
 // bounds, seed probe, survivor probes cut at the incumbent — on
-// BenchmarkProbeMicro's task, at probe parallelism 1.
+// BenchmarkProbeMicro's task.
 func BenchmarkBestEFT(b *testing.B) {
-	s, target := halfScheduledLU(b, platform.Paper(), 30, &Tuning{ProbeParallelism: 1})
+	s, target := halfScheduledLU(b, platform.Paper(), 30, nil)
 	b.ReportAllocs()
 	for b.Loop() {
 		s.bestEFT(target, nil)
@@ -71,10 +69,10 @@ func BenchmarkBestEFT(b *testing.B) {
 }
 
 // TestBestEFTAllocs is the allocation gate of the scan: once its scratch
-// (releases, bounds, surviving positions, the stash) has grown, a bestEFT
-// at probe parallelism 1 allocates nothing — on BenchmarkProbeMicro's task
-// on the dense paper platform, and on a half-scheduled LU(20) on a
-// 4-processor line, whose messages are routed hop by hop.
+// (releases, bounds, the stash) has grown, a bestEFT allocates nothing —
+// on BenchmarkProbeMicro's task on the dense paper platform, and on a
+// half-scheduled LU(20) on a 4-processor line, whose messages are routed
+// hop by hop.
 func TestBestEFTAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("-race instrumentation inflates allocation counts")
@@ -88,69 +86,10 @@ func TestBestEFTAllocs(t *testing.T) {
 		{"line4", linePlatform(4), 20},
 	} {
 		t.Run(c.name, func(t *testing.T) {
-			s, target := halfScheduledLU(t, c.pl, c.n, &Tuning{ProbeParallelism: 1})
+			s, target := halfScheduledLU(t, c.pl, c.n, nil)
 			s.bestEFT(target, nil)
 			if got := testing.AllocsPerRun(100, func() { s.bestEFT(target, nil) }); got != 0 {
 				t.Fatalf("warm bestEFT: %v allocations per scan, want 0", got)
-			}
-		})
-	}
-}
-
-// BenchmarkProbeGrain is the sweep probeParallelGrain is set from: one pass
-// over a kernel-like mix — the six paper testbeds at half their figure
-// sizes under HEFT, ILHA, CPOP, DLS and BIL, one-port, on the paper
-// platform and a 32-processor one — at probe parallelism 2, once per grain
-// tried. The "never" case never fans out: the mix's parallelism-1 cost.
-//
-//	go test -run '^$' -bench ProbeGrain -count 5 ./internal/heuristics
-func BenchmarkProbeGrain(b *testing.B) {
-	cycles := make([]float64, 32)
-	for q := range cycles {
-		cycles[q] = []float64{3, 5, 6, 10, 15}[q%5]
-	}
-	wide, err := platform.Uniform(cycles, 1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	sizes := map[string]int{"forkjoin": 150, "lu": 30, "laplace": 20, "ldmt": 20, "doolittle": 30, "stencil": 20}
-	type run struct {
-		g  *graph.Graph
-		pl *platform.Platform
-		fn Func
-	}
-	var mix []run
-	for _, pl := range []*platform.Platform{platform.Paper(), wide} {
-		tune := &Tuning{ProbeParallelism: 2, Scratch: NewScratch()}
-		for _, tb := range []string{"forkjoin", "lu", "laplace", "ldmt", "doolittle", "stencil"} {
-			g, err := testbeds.ByName(tb, sizes[tb], 10)
-			if err != nil {
-				b.Fatal(err)
-			}
-			for _, h := range []string{"heft", "ilha", "cpop", "dls", "bil"} {
-				fn, err := ByNameTuned(h, ILHAOptions{}, tune)
-				if err != nil {
-					b.Fatal(err)
-				}
-				mix = append(mix, run{g, pl, fn})
-			}
-		}
-	}
-	old := probeParallelGrain
-	defer func() { probeParallelGrain = old }()
-	for _, grain := range []int{16, 32, 64, 128, 256, 512, 1024, 2048, 4096, 1 << 30} {
-		name := fmt.Sprint(grain)
-		if grain == 1<<30 {
-			name = "never"
-		}
-		b.Run(name, func(b *testing.B) {
-			probeParallelGrain = grain
-			for i := 0; i < b.N; i++ {
-				for _, r := range mix {
-					if _, err := r.fn(r.g, r.pl, sched.OnePort); err != nil {
-						b.Fatal(err)
-					}
-				}
 			}
 		})
 	}

@@ -8,17 +8,13 @@ import (
 // overlay reservations (flat slices indexed by processor, replacing the old
 // per-probe maps), the gap-search cursors into the committed timelines, and
 // the comm-event/hop storage of the placement being built. A state keeps one
-// probeBuf per probe worker; buffers are reset — never reallocated — between
-// probes, so the steady-state probe path performs no allocation.
+// probeBuf; it is reset — never reallocated — between probes, so the
+// steady-state probe path performs no allocation.
 //
-// A probeBuf is owned by exactly one goroutine at a time. During parallel
-// bestEFT probing (and the frontier engine's pair fan-out) each worker uses
-// its own buf; everything a probe reads from the shared state (committed
-// timelines, routes, the graph) is read-only for the duration of the
-// fan-out. A buf is not otherwise tied to the state that grew it: a probe
-// fully resets the buf, so strictly sequential users may share one set
-// across many states — the Exhaustive search points every cloned state at
-// its root's buffers instead of lazily growing thousands of copies.
+// A buf is not tied to the state that grew it: a probe fully resets the
+// buf, so strictly sequential users may share one across many states — the
+// Exhaustive search points every cloned state at its root's buffer instead
+// of lazily growing thousands of copies.
 type probeBuf struct {
 	// tentative overlay reservations by processor index, each kept sorted
 	// by start (sched.AddExtra); emptied via the touched lists below
@@ -52,13 +48,13 @@ type probeBuf struct {
 	anyMoved bool
 	lastHops []lastHop
 
-	// stash for the best placement found so far by this buf's owner: comm
-	// events copied out of comms so later probes can safely clobber it
+	// stash for the best placement found so far by the scan using this buf:
+	// comm events copied out of comms so later probes can safely clobber it
 	best []sched.CommEvent
 
 	// probes counts the probes run with this buf (a cut probe included) and
-	// msgs the messages they placed; the tests read the sums over a run's
-	// buffers through its Scratch
+	// msgs the messages they placed; the tests read them through a run's
+	// Scratch
 	probes, msgs int
 }
 

@@ -26,7 +26,7 @@ import (
 // dlsReference is the original DLS loop: at every step it re-probes every
 // (ready task, processor) pair from scratch with the sequential probe path.
 func dlsReference(g *graph.Graph, pl *platform.Platform, model sched.Model) (*sched.Schedule, error) {
-	s, err := newState(g, pl, model, &Tuning{ProbeParallelism: 1})
+	s, err := newState(g, pl, model, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -99,7 +99,7 @@ func bestEFTReference(s *state, v int, candidates []int) placement {
 // bilReference is the original BIL loop: level computation plus a plain
 // sequential earliest-finish scan per popped task.
 func bilReference(g *graph.Graph, pl *platform.Platform, model sched.Model) (*sched.Schedule, error) {
-	s, err := newState(g, pl, model, &Tuning{ProbeParallelism: 1})
+	s, err := newState(g, pl, model, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -173,7 +173,7 @@ func exhaustiveReference(g *graph.Graph, pl *platform.Platform, model sched.Mode
 	if nodeBudget <= 0 {
 		nodeBudget = 200000
 	}
-	s, err := newState(g, pl, model, &Tuning{ProbeParallelism: 1})
+	s, err := newState(g, pl, model, nil)
 	if err != nil {
 		return nil, false, err
 	}
@@ -259,7 +259,7 @@ func exhaustiveReference(g *graph.Graph, pl *platform.Platform, model sched.Mode
 // pinned processor, every other popped task runs a plain sequential
 // earliest-finish scan over all processors — no caching, no bound skipping.
 func cpopReference(g *graph.Graph, pl *platform.Platform, model sched.Model) (*sched.Schedule, error) {
-	s, err := newState(g, pl, model, &Tuning{ProbeParallelism: 1})
+	s, err := newState(g, pl, model, nil)
 	if err != nil {
 		return nil, err
 	}

@@ -21,8 +21,7 @@ func ByName(name string, opts ILHAOptions) (Func, error) {
 }
 
 // ByNameTuned is ByName with a per-run Tuning bound into the returned Func:
-// every invocation runs with the Tuning's probe parallelism and scratch
-// instead of the process-wide defaults. The same one-run-at-a-time rule as
+// every invocation runs with the Tuning's scratch and deadline. The same one-run-at-a-time rule as
 // Tuning applies to the returned Func when the Tuning carries a Scratch.
 func ByNameTuned(name string, opts ILHAOptions, tune *Tuning) (Func, error) {
 	run := func(f func(*graph.Graph, *platform.Platform, sched.Model, *Tuning) (*sched.Schedule, error)) Func {

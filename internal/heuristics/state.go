@@ -14,24 +14,11 @@ package heuristics
 import (
 	"context"
 	"fmt"
-	"runtime"
-	"sync"
-	"sync/atomic"
 
 	"oneport/internal/graph"
 	"oneport/internal/platform"
 	"oneport/internal/sched"
 )
-
-// probeParallelGrain is the minimum probe work — (len(preds)+1) × candidate
-// count — below which bestEFT (and the frontier engine's ensure) stays on
-// the sequential path: for small batches the goroutine fan-out costs more
-// than the probes themselves. Probes are deterministic either way, so the
-// cut-over is invisible in the output. The value comes from
-// BenchmarkProbeGrain on 2 vCPUs: grains up to 256 made a kernel-like mix
-// 15–50 % slower than never fanning out, and from 512 up it ran at par or
-// better, best at 2048 (DESIGN.md, "Parallel EFT probing").
-var probeParallelGrain = 2048
 
 // state carries the incremental resource timelines during list scheduling.
 type state struct {
@@ -53,24 +40,15 @@ type state struct {
 
 	sch *sched.Schedule
 
-	// probe scratch, all lazily created and reused across probes: one buf
-	// per worker (bufs[0] doubles as the sequential buf), the predecessor
-	// buffer, the per-worker reduction slots and job records of a parallel
-	// bestEFT.
-	par       int // max probe workers for this state
-	bufs      []*probeBuf
-	wg        sync.WaitGroup
-	fault     atomic.Pointer[poolFault] // first panic from a pool worker, re-raised by refault
+	// probe scratch, lazily created and reused across probes: the probe
+	// buffer (see buf) and the predecessor buffer
+	pbuf      *probeBuf
 	predBuf   []predInfo
-	results   []workerBest
-	jobs      []probeJob
 	predCount []int // per-proc counting scratch (ILHA Step 1)
 
 	// bestEFT scratch: bounds[j] is candidate position j's finish bound,
-	// live the positions that survive the seed probe, releases[i] the
-	// sender release of the task's i-th predecessor
+	// releases[i] the sender release of the task's i-th predecessor
 	bounds   []float64
-	live     []int
 	releases []float64
 
 	// frontier, when non-nil, is the frontier-probe engine attached by the
@@ -87,132 +65,24 @@ type state struct {
 	hopArena []sched.Hop
 }
 
-// workerBest is one worker's contribution to a parallel bestEFT reduction.
-type workerBest struct {
+// incumbent is the best placement an EFT scan has found so far, at
+// candidate position pos.
+type incumbent struct {
 	pl  placement
-	pos int // candidate position of pl
+	pos int
 }
 
-// beatenBy reports whether finish f at candidate position j beats wb under
+// beatenBy reports whether finish f at candidate position j beats inc under
 // the (finish, position) order: the first minimum the plain
 // earliest-finish loop keeps.
-func (wb *workerBest) beatenBy(f float64, j int) bool {
-	return f < wb.pl.finish || (f == wb.pl.finish && j < wb.pos)
-}
-
-// poolJob is one unit of probe work dispatched to the shared worker pool.
-// Implementations are reused structs owned by the dispatching state or
-// engine, sent by pointer so dispatch allocates nothing. abort is called
-// instead of normal completion when run panics: it must release the job's
-// completion latch (so the dispatcher's Wait never deadlocks) and record
-// the fault for the dispatcher to re-raise.
-type poolJob interface {
-	run()
-	abort(fault any)
-}
-
-// poolFault boxes a panic value recovered on a pool worker so the
-// dispatching goroutine can re-raise it after the fan-out barrier.
-type poolFault struct{ val any }
-
-// probeJob is one slice of a parallel bestEFT — the surviving candidate
-// positions live[lo:hi] — dispatched to a pool worker.
-type probeJob struct {
-	s          *state
-	v          int
-	candidates []int
-	preds      []predInfo
-	lo, hi, wi int
-	seed       workerBest
-	res        []workerBest
-	done       *sync.WaitGroup
-}
-
-func (j *probeJob) run() {
-	j.res[j.wi] = j.s.probeSlice(j.v, j.candidates, j.preds, j.lo, j.hi, j.wi, j.seed)
-	j.done.Done()
-}
-
-// abort releases the completion latch after run panicked, recording the
-// fault on the dispatching state.
-func (j *probeJob) abort(fault any) {
-	j.s.noteFault(fault)
-	j.done.Done()
-}
-
-// The probe worker pool is shared by every state in the process: workers are
-// stateless (each job carries the state, slice and result slot it needs),
-// so one bounded set of goroutines serves any number of concurrent
-// schedulers without per-state spawn cost or lifecycle management. It is
-// started lazily by the first fan-out that crosses the parallel grain and
-// sized to the machine, not to any state's par setting — a state asking for
-// more slices than there are workers just queues; the reductions are
-// positional, so worker count never affects the schedule. Both bestEFT's
-// candidate slices and the frontier engine's pair slices run on it.
-var (
-	probePoolOnce sync.Once
-	probeJobs     chan poolJob
-)
-
-func poolJobs() chan poolJob {
-	probePoolOnce.Do(func() {
-		workers := runtime.GOMAXPROCS(0) - 1
-		if workers < 1 {
-			workers = 1
-		}
-		if workers > 8 {
-			workers = 8
-		}
-		probeJobs = make(chan poolJob, 4*workers)
-		for i := 0; i < workers; i++ {
-			go func() {
-				for j := range probeJobs {
-					runPoolJob(j)
-				}
-			}()
-		}
-	})
-	return probeJobs
-}
-
-// runPoolJob executes one job, converting a panic in probe code into a
-// recorded fault: the job's completion latch still releases (the
-// dispatcher's Wait never deadlocks), the worker goroutine survives for
-// the next job, and the dispatcher re-raises the fault after its barrier
-// (state.refault) — so a probe bug fails that one scheduler run, whose
-// caller may recover (the scheduling service does), instead of killing
-// the whole process.
-func runPoolJob(j poolJob) {
-	defer func() {
-		if r := recover(); r != nil {
-			j.abort(r)
-		}
-	}()
-	j.run()
-}
-
-// noteFault records the first panic recovered on a pool worker running
-// this state's jobs; later faults lose the swap and are dropped (one is
-// enough to fail the run).
-func (s *state) noteFault(fault any) {
-	s.fault.CompareAndSwap(nil, &poolFault{val: fault})
-}
-
-// refault re-raises a recorded worker fault on the dispatching goroutine.
-// It runs after wg.Wait, so every worker touching this state's buffers has
-// finished: the run fails quiescently, and unwinding (including the
-// Tuning.reclaim defer) sees buffers no goroutine still writes.
-func (s *state) refault() {
-	if f := s.fault.Load(); f != nil {
-		s.fault.Store(nil)
-		panic(f.val)
-	}
+func (inc *incumbent) beatenBy(f float64, j int) bool {
+	return f < inc.pl.finish || (f == inc.pl.finish && j < inc.pos)
 }
 
 // wire returns the timeline of the undirected wire {a,b}, creating it (and
 // the wire map itself) on first use. Only commit may call it: probes must
-// use wireBase, which never mutates the map and is therefore safe under
-// parallel probing (reads of a nil map are fine).
+// use wireBase, which never mutates the map (reads of a nil map are fine),
+// so a probe leaves the committed state as it found it.
 func (s *state) wire(a, b int) *sched.Intervals {
 	if a > b {
 		a, b = b, a
@@ -238,12 +108,12 @@ func (s *state) wireBase(a, b int) *sched.Intervals {
 	return s.wires[[2]int{a, b}]
 }
 
-// buf returns the i-th probe buffer, creating it on first use.
-func (s *state) buf(i int) *probeBuf {
-	for len(s.bufs) <= i {
-		s.bufs = append(s.bufs, newProbeBuf(s.pl.NumProcs()))
+// buf returns the probe buffer, creating it on first use.
+func (s *state) buf() *probeBuf {
+	if s.pbuf == nil {
+		s.pbuf = newProbeBuf(s.pl.NumProcs())
 	}
-	return s.bufs[i]
+	return s.pbuf
 }
 
 func newState(g *graph.Graph, pl *platform.Platform, model sched.Model, tune *Tuning) (*state, error) {
@@ -259,7 +129,6 @@ func newState(g *graph.Graph, pl *platform.Platform, model sched.Model, tune *Tu
 		send:    make([]*sched.Intervals, pl.NumProcs()),
 		recv:    make([]*sched.Intervals, pl.NumProcs()),
 		sch:     sched.NewSchedule(g.NumNodes(), pl.NumProcs()),
-		par:     tune.par(),
 	}
 	if tune != nil && tune.Scratch != nil {
 		tune.Scratch.lend(s)
@@ -282,7 +151,7 @@ func newState(g *graph.Graph, pl *platform.Platform, model sched.Model, tune *Tu
 // clone deep-copies the state (used by the ILHA communication-rescheduling
 // variant to undo a chunk's tentative placement, and by the Exhaustive
 // search per branch). Probe scratch is not shared: the clone lazily grows
-// its own buffers. Timeline storage is slab-allocated — one Intervals array
+// its own buffer. Timeline storage is slab-allocated — one Intervals array
 // and one busy-interval arena for all 3·procs (+ wires) timelines — because
 // the branch-and-bound clones thousands of states and per-timeline clones
 // dominated its profile.
@@ -295,7 +164,6 @@ func (s *state) clone() *state {
 		routes:     s.routes,
 		ctx:        s.ctx,
 		appendOnly: s.appendOnly,
-		par:        s.par,
 		compute:    make([]*sched.Intervals, n),
 		send:       make([]*sched.Intervals, n),
 		recv:       make([]*sched.Intervals, n),
@@ -456,9 +324,8 @@ func (s *state) preds(v int) []predInfo {
 
 // predsInto appends v's placed predecessors to buf, sorted by ascending
 // finish time (ties by node id), and returns the extended slice. It is the
-// arena-friendly form of preds: the frontier engine packs the pred lists of
-// a whole scan batch back to back so parallel workers can read them without
-// touching the state's shared predBuf.
+// arena-friendly form of preds: DLS's twin classes (frontierScan.admit)
+// pack the pred lists of a release batch back to back.
 func (s *state) predsInto(buf []predInfo, v int) []predInfo {
 	base := len(buf)
 	for _, a := range s.g.Pred(v) {
@@ -487,9 +354,9 @@ func predLess(a, b predInfo) bool {
 }
 
 // probe computes the placement of task v on processor proc using the
-// sequential scratch buffer. See probeWith for the contract.
+// state's probe buffer. See probeWith for the contract.
 func (s *state) probe(v, proc int, preds []predInfo) placement {
-	return s.probeWith(s.buf(0), v, proc, preds)
+	return s.probeWith(s.buf(), v, proc, preds)
 }
 
 // probeWith computes the full placement of task v on processor proc: it
@@ -511,7 +378,7 @@ func (s *state) probeWith(b *probeBuf, v, proc int, preds []predInfo) placement 
 // placement is empty. The cut is exact — ready only grows, the gap search
 // never returns a time before its start, and fl(a+d) ≤ fl(b+d) when a ≤ b —
 // so a cut probe could not have won. A nil inc never cuts.
-func (s *state) probeAgainst(b *probeBuf, v, proc int, preds []predInfo, inc *workerBest, j int) (pl placement, cut bool) {
+func (s *state) probeAgainst(b *probeBuf, v, proc int, preds []predInfo, inc *incumbent, j int) (pl placement, cut bool) {
 	b.reset()
 	b.probes++
 	dur := s.pl.ExecTime(s.g.Weight(v), proc)
@@ -543,10 +410,10 @@ func (s *state) probeAgainst(b *probeBuf, v, proc int, preds []predInfo, inc *wo
 }
 
 // stash copies a placement's comm events out of the probe scratch into the
-// sequential buf's stable stash, so the placement survives later probes.
+// probe buffer's stable stash, so the placement survives later probes.
 // Callers that keep a placement across probe cycles (DLS) must stash it.
 func (s *state) stash(pl placement) placement {
-	return stashPlacement(&s.buf(0).best, pl)
+	return stashPlacement(&s.buf().best, pl)
 }
 
 // commit applies a placement: communication hops are reserved on the port
@@ -555,12 +422,11 @@ func (s *state) stash(pl placement) placement {
 // (the placement's hop storage is probe scratch that will be recycled).
 //
 // commit is also the run's cancellation point: it executes once per task
-// placement (per branch expansion in the exhaustive search), always on the
-// dispatching goroutine between probe fan-out barriers — so when the run's
-// Tuning.Ctx has expired, aborting here is quiescent: no pool worker still
-// touches this state's buffers, and unwinding (including Tuning.reclaim)
-// is safe. The abort travels as a runCanceled panic recovered at the
-// ByNameTuned boundary into an ErrCanceled error.
+// placement (per branch expansion in the exhaustive search), between
+// probes — so when the run's Tuning.Ctx has expired, aborting here leaves
+// no probe half done, and unwinding (including Tuning.reclaim) is safe.
+// The abort travels as a runCanceled panic recovered at the ByNameTuned
+// boundary into an ErrCanceled error.
 func (s *state) commit(v int, pl placement) {
 	if s.ctx != nil {
 		if err := s.ctx.Err(); err != nil {
@@ -723,14 +589,9 @@ func (s *state) finishBound(w float64, p int, preds []predInfo, rel []float64) f
 // order, only while its bound can still beat the incumbent under
 // (finish, position). A candidate whose bound cannot beat the incumbent
 // cannot be the answer, so the result is exactly the placement the plain
-// loop over every candidate returns.
-//
-// When the surviving probe work is large enough, the survivors are probed
-// concurrently by a small worker fan-out. This is safe because probes only
-// read the committed timelines and write worker-private scratch, and it is
-// exact: every candidate's placement is a pure function of the committed
-// state, so the (finish, position)-minimum reduction returns
-// byte-identical schedules to the sequential scan.
+// loop over every candidate returns. A probed candidate's probe stops once
+// it cannot beat the incumbent (probeAgainst), and a probe that beats it
+// is stashed in the probe buffer.
 func (s *state) bestEFT(v int, candidates []int) placement {
 	preds := s.preds(v)
 	n := len(candidates)
@@ -750,79 +611,22 @@ func (s *state) bestEFT(v int, candidates []int) placement {
 			seed = j
 		}
 	}
-	b := s.buf(0)
-	best := workerBest{pl: s.probeWith(b, v, candidateAt(candidates, seed), preds), pos: seed}
-	live := s.live[:0]
+	b := s.buf()
+	best := incumbent{pl: s.probeWith(b, v, candidateAt(candidates, seed), preds), pos: seed}
+	stashed := false // the seed's comms may stay in probe scratch while no probe follows
 	for j, bd := range bounds {
-		if j != seed && best.beatenBy(bd, j) {
-			live = append(live, j)
+		if j == seed || !best.beatenBy(bd, j) {
+			continue
 		}
-	}
-	s.live = live
-	if len(live) == 0 {
-		return best.pl // its comms may stay in probe scratch: no probe follows
-	}
-	best.pl = stashPlacement(&b.best, best.pl)
-	if w := min(s.par, len(live)); w > 1 && (len(preds)+1)*len(live) >= probeParallelGrain {
-		return s.bestEFTParallel(v, candidates, preds, best, w)
-	}
-	return s.probeSlice(v, candidates, preds, 0, len(live), 0, best).pl
-}
-
-// bestEFTParallel fans the surviving candidates of one task out to w
-// workers. Worker wi scans the contiguous survivors live[wi·m/w :
-// (wi+1)·m/w] in position order from the seed as its incumbent, exactly as
-// the sequential scan does; the final reduction takes the minimum by
-// (finish, position), which is the placement the sequential scan keeps.
-// A slice that beats the seed may overwrite its stash in bufs[0]: the seed
-// is then no longer the answer.
-func (s *state) bestEFTParallel(v int, candidates []int, preds []predInfo, seed workerBest, w int) placement {
-	for len(s.results) < w {
-		s.results = append(s.results, workerBest{})
-	}
-	res := s.results[:w]
-	s.buf(w - 1) // materialize every worker buf before the fan-out
-	for len(s.jobs) < w {
-		s.jobs = append(s.jobs, probeJob{})
-	}
-	m := len(s.live)
-	jobs := poolJobs()
-	s.wg.Add(w - 1)
-	for wi := 1; wi < w; wi++ {
-		s.jobs[wi] = probeJob{
-			s: s, v: v, candidates: candidates, preds: preds,
-			lo: wi * m / w, hi: (wi + 1) * m / w, wi: wi, seed: seed, res: res, done: &s.wg,
+		if !stashed {
+			best.pl, stashed = stashPlacement(&b.best, best.pl), true
 		}
-		jobs <- &s.jobs[wi]
-	}
-	res[0] = s.probeSlice(v, candidates, preds, 0, m/w, 0, seed)
-	s.wg.Wait()
-	s.refault()
-	best := res[0]
-	for _, r := range res[1:] {
-		if best.beatenBy(r.pl.finish, r.pos) {
-			best = r
+		pl, cut := s.probeAgainst(b, v, candidateAt(candidates, j), preds, &best, j)
+		if !cut && best.beatenBy(pl.finish, j) {
+			best = incumbent{pl: stashPlacement(&b.best, pl), pos: j}
 		}
 	}
 	return best.pl
-}
-
-// probeSlice scans the surviving candidate positions live[lo:hi] of task v
-// with worker wi's buf, from incumbent lb: a survivor is probed only while
-// its bound can still beat the incumbent, its probe stops once it cannot
-// (probeAgainst), and a probe that beats it is stashed into that buf.
-func (s *state) probeSlice(v int, candidates []int, preds []predInfo, lo, hi, wi int, lb workerBest) workerBest {
-	b := s.bufs[wi]
-	for _, j := range s.live[lo:hi] {
-		if !lb.beatenBy(s.bounds[j], j) {
-			continue
-		}
-		pl, cut := s.probeAgainst(b, v, candidateAt(candidates, j), preds, &lb, j)
-		if !cut && lb.beatenBy(pl.finish, j) {
-			lb = workerBest{pl: stashPlacement(&b.best, pl), pos: j}
-		}
-	}
-	return lb
 }
 
 // priorities computes the paper's bottom levels: task weights scaled by the

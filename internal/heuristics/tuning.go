@@ -3,7 +3,6 @@ package heuristics
 import (
 	"context"
 	"errors"
-	"runtime"
 )
 
 // ErrCanceled marks a run aborted because its Tuning.Ctx expired (deadline
@@ -26,9 +25,11 @@ type runCanceled struct{ err error }
 // a Scratch: the scratch buffers are handed to the running state and only
 // returned when the run completes.
 type Tuning struct {
-	// ProbeParallelism caps the candidate-probe fan-out of this run
-	// (1 forces the sequential reference path). 0 resolves to
-	// min(GOMAXPROCS, 8) when the run starts.
+	// ProbeParallelism is ignored: every run probes on the calling
+	// goroutine.
+	//
+	// Deprecated: nothing reads it. It stays so that callers which still
+	// set it compile.
 	ProbeParallelism int
 
 	// Scratch, when non-nil, donates reusable probe buffers to the run and
@@ -38,30 +39,27 @@ type Tuning struct {
 	Scratch *Scratch
 
 	// Ctx, when non-nil, bounds the run: its expiry (deadline or cancel)
-	// aborts the run at the next task commit — once per placement, on the
-	// dispatching goroutine between probe fan-out barriers, so the abort
-	// is quiescent and the Scratch is reclaimed normally. Funcs obtained
+	// aborts the run at the next task commit — once per placement, between
+	// probes, so the abort leaves no probe half done and the Scratch is
+	// reclaimed normally. Funcs obtained
 	// through ByName/ByNameTuned then return an error satisfying
 	// errors.Is(err, ErrCanceled). The check is one atomic load per
 	// commit; nil keeps runs unbounded (the historical behaviour).
 	Ctx context.Context
 }
 
-// Scratch owns the probe scratch memory (per-worker probe buffers, the
-// predecessor buffer, the parallel-reduction slots, bestEFT's candidate
-// bounds and sender releases and, for the heuristics that use one, the
-// frontier-probe engine)
-// that a scheduler state grows during a run. Reusing one Scratch across
+// Scratch owns the probe scratch memory (the probe buffer, the predecessor
+// buffer, bestEFT's candidate bounds and sender releases and, for the
+// heuristics that use one, the frontier-probe engine) that a scheduler
+// state grows during a run. Reusing one Scratch across
 // successive runs on platforms of the same size avoids re-allocating all of
 // it every time.
 // A Scratch may only feed one run at a time; see Tuning.
 type Scratch struct {
-	procs    int // processor count the buffers are sized for
-	bufs     []*probeBuf
+	procs    int // processor count the probe buffer is sized for
+	buf      *probeBuf
 	predBuf  []predInfo
-	results  []workerBest
 	bounds   []float64
-	live     []int
 	releases []float64
 	frontier *frontier
 }
@@ -73,19 +71,18 @@ func NewScratch() *Scratch { return &Scratch{} }
 // lend moves the scratch buffers into a freshly created state. Ownership
 // transfers: the Scratch is emptied so that a second state created while
 // the first is still running can never alias the same buffers (it simply
-// grows fresh ones). Buffers sized for a different processor count are
-// dropped — probeBuf slices are indexed by processor. The frontier engine
-// and bestEFT's bounds and releases size themselves to any (graph,
+// grows fresh ones). A probe buffer sized for a different processor count
+// is dropped — probeBuf slices are indexed by processor. The frontier
+// engine and bestEFT's bounds and releases size themselves to any (graph,
 // platform) pair, so they are always handed over.
 func (sc *Scratch) lend(s *state) {
-	if sc.procs == s.pl.NumProcs() && sc.bufs != nil {
-		s.bufs = sc.bufs
+	if sc.procs == s.pl.NumProcs() && sc.buf != nil {
+		s.pbuf = sc.buf
 		s.predBuf = sc.predBuf[:0]
-		s.results = sc.results[:0]
 	}
-	s.bounds, s.live, s.releases = sc.bounds, sc.live, sc.releases
+	s.bounds, s.releases = sc.bounds, sc.releases
 	s.fmem = sc.frontier
-	sc.bufs, sc.predBuf, sc.results, sc.bounds, sc.live, sc.releases, sc.frontier = nil, nil, nil, nil, nil, nil, nil
+	sc.buf, sc.predBuf, sc.bounds, sc.releases, sc.frontier = nil, nil, nil, nil, nil
 }
 
 // reclaim returns a finished state's (possibly grown) scratch buffers to
@@ -99,10 +96,9 @@ func (t *Tuning) reclaim(s *state) {
 	}
 	sc := t.Scratch
 	sc.procs = s.pl.NumProcs()
-	sc.bufs = s.bufs
+	sc.buf = s.pbuf
 	sc.predBuf = s.predBuf
-	sc.results = s.results
-	sc.bounds, sc.live, sc.releases = s.bounds, s.live, s.releases
+	sc.bounds, sc.releases = s.bounds, s.releases
 	// the run either attached the lent engine (s.frontier) or never touched
 	// it (still parked in s.fmem); recover whichever is live, unbinding the
 	// dead state so a pooled Scratch does not pin its timelines and schedule
@@ -122,13 +118,4 @@ func (t *Tuning) runCtx() context.Context {
 		return nil
 	}
 	return t.Ctx
-}
-
-// par returns the run's probe parallelism: the Tuning's setting when
-// positive, otherwise min(GOMAXPROCS, 8).
-func (t *Tuning) par() int {
-	if t != nil && t.ProbeParallelism > 0 {
-		return t.ProbeParallelism
-	}
-	return min(runtime.GOMAXPROCS(0), 8)
 }

@@ -2,7 +2,6 @@ package heuristics
 
 import (
 	"fmt"
-	"runtime"
 	"sync"
 	"testing"
 
@@ -12,28 +11,20 @@ import (
 )
 
 // TestConcurrentSchedulersTuned is the safety net of the per-run Tuning:
-// many schedulers run concurrently, each with a different per-run probe
-// parallelism, next to runs on the zero Tuning's default. Every run must
-// produce a schedule identical to the sequential reference — per-run
-// settings must neither race (run under -race in CI) nor leak across
-// concurrent runs.
+// many schedulers run concurrently, each with its own Scratch, and every
+// run must produce a schedule identical to a run on the zero Tuning —
+// per-run scratch must neither race (run under -race in CI) nor leak
+// across concurrent runs.
 func TestConcurrentSchedulersTuned(t *testing.T) {
 	pl := platform.Paper()
 	g := testbeds.ForkJoin(40, 10)
 	lu := testbeds.LU(12, 10)
 
-	oldGrain := probeParallelGrain
-	probeParallelGrain = 2
-	defer func() { probeParallelGrain = oldGrain }()
-
-	if got, want := (&Tuning{}).par(), min(runtime.GOMAXPROCS(0), 8); got != want {
-		t.Fatalf("zero Tuning par = %d, want min(GOMAXPROCS, 8) = %d", got, want)
-	}
-	refH, err := heftRun(g, pl, sched.OnePort, false, &Tuning{ProbeParallelism: 1})
+	refH, err := heftRun(g, pl, sched.OnePort, false, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	refI, err := ilhaRun(lu, pl, sched.OnePort, ILHAOptions{B: 7}, &Tuning{ProbeParallelism: 1})
+	refI, err := ilhaRun(lu, pl, sched.OnePort, ILHAOptions{B: 7}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,8 +35,7 @@ func TestConcurrentSchedulersTuned(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			// workers 0, 6 and 12 run on the zero Tuning's default
-			tune := &Tuning{ProbeParallelism: i % 6, Scratch: NewScratch()}
+			tune := &Tuning{Scratch: NewScratch()}
 			for rep := 0; rep < 3; rep++ {
 				h, err := heftRun(g, pl, sched.OnePort, false, tune)
 				if err != nil {
@@ -53,7 +43,7 @@ func TestConcurrentSchedulersTuned(t *testing.T) {
 					return
 				}
 				if err := sameSchedule(refH, h); err != nil {
-					errs <- fmt.Errorf("worker %d rep %d HEFT (par %d): %w", i, rep, tune.ProbeParallelism, err)
+					errs <- fmt.Errorf("worker %d rep %d HEFT: %w", i, rep, err)
 					return
 				}
 				s, err := ilhaRun(lu, pl, sched.OnePort, ILHAOptions{B: 7}, tune)
@@ -62,7 +52,7 @@ func TestConcurrentSchedulersTuned(t *testing.T) {
 					return
 				}
 				if err := sameSchedule(refI, s); err != nil {
-					errs <- fmt.Errorf("worker %d rep %d ILHA (par %d): %w", i, rep, tune.ProbeParallelism, err)
+					errs <- fmt.Errorf("worker %d rep %d ILHA: %w", i, rep, err)
 					return
 				}
 			}

@@ -179,18 +179,8 @@ func TestTwinClassesKeepProbeOrder(t *testing.T) {
 	}
 }
 
-// scratchCounts returns the probes run with a Scratch's buffers so far and
-// the messages they placed.
-func scratchCounts(sc *Scratch) (probes, msgs int) {
-	for _, b := range sc.bufs {
-		probes += b.probes
-		msgs += b.msgs
-	}
-	return probes, msgs
-}
-
-// TestProbeCounts pins the probes three runs issue at probe parallelism 1,
-// and the messages those probes place. The counts move only when the scan
+// TestProbeCounts pins the probes three runs issue and the messages those
+// probes place. The counts move only when the scan
 // changes what it probes or how far a probe goes, never with speed; a
 // change here must be deliberate. Before the bound-seeded bestEFT and
 // DLS's twin classes, the fork-join and HEFT runs issued 285,133 (DLS) and
@@ -222,10 +212,10 @@ func TestProbeCounts(t *testing.T) {
 	}
 	for _, c := range cases {
 		sc := NewScratch()
-		if _, err := c.run(&Tuning{ProbeParallelism: 1, Scratch: sc}); err != nil {
+		if _, err := c.run(&Tuning{Scratch: sc}); err != nil {
 			t.Fatal(err)
 		}
-		if probes, msgs := scratchCounts(sc); probes != c.probes || msgs != c.msgs {
+		if probes, msgs := sc.buf.probes, sc.buf.msgs; probes != c.probes || msgs != c.msgs {
 			t.Errorf("%s: %d probes placing %d messages, want %d placing %d", c.name, probes, msgs, c.probes, c.msgs)
 		}
 	}

@@ -319,6 +319,86 @@ func TestDrainHandoffNoAckedDeltaLost(t *testing.T) {
 	}
 }
 
+// TestSnapshotProbeParIgnored: a replica of an earlier version writes
+// probe_par into the snapshots it hands off and journals. A
+// /session/peer/import body carrying it still imports (the import decodes
+// with DisallowUnknownFields), a journal whose open record carries it
+// still recovers, both sessions schedule byte-identically to a cold run,
+// and a snapshot exported now leaves the field out.
+func TestSnapshotProbeParIgnored(t *testing.T) {
+	g, pl := testbeds.LU(8, 10), platform.Paper()
+	const id = "00112233445566778899aabbccddeeff"
+	snap, err := json.Marshal(map[string]any{
+		"id": id, "graph": g, "platform": pl, "heuristic": "heft", "model": "oneport",
+		"probe_par": 2, "deltas": 0,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cold := httptest.NewServer(New(Config{}).Handler())
+	defer cold.Close()
+
+	// handoff from an earlier version
+	ts := httptest.NewServer(New(Config{}).Handler())
+	defer ts.Close()
+	req, err := http.NewRequest(http.MethodPost, ts.URL+"/session/peer/import", bytes.NewReader(snap))
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set(relay.EpochHeader, "0")
+	hr, err := ts.Client().Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sr SessionResponse
+	err = json.NewDecoder(hr.Body).Decode(&sr)
+	hr.Body.Close()
+	if err != nil || hr.StatusCode != http.StatusOK || sr.SessionID != id {
+		t.Fatalf("import answered %d (%v): %+v", hr.StatusCode, err, sr)
+	}
+	want := scheduleJSON(t, cold, Request{Graph: g, Platform: pl, Heuristic: "heft", Model: "oneport"})
+	if got := mustJSON(t, sr.Schedule); got != string(want) {
+		t.Fatalf("imported schedule differs from a cold run:\nwant %s\ngot  %s", want, got)
+	}
+
+	// journal from an earlier version
+	dir := t.TempDir()
+	lg, err := journalStoreT(t, dir).Create(id, snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := lg.Close(); err != nil {
+		t.Fatal(err)
+	}
+	srv := New(Config{SessionJournal: journalStoreT(t, dir)})
+	if recovered, failed, err := srv.RecoverSessions(context.Background()); recovered != 1 || failed != 0 || err != nil {
+		t.Fatalf("RecoverSessions = %d, %d, %v", recovered, failed, err)
+	}
+	rs := httptest.NewServer(srv.Handler())
+	defer rs.Close()
+	hr, body := doJSON(t, rs, http.MethodPost, "/session/"+id+"/delta",
+		[]byte(`{"graph":[{"op":"set_weight","task":0,"weight":9}]}`))
+	if hr.StatusCode != http.StatusOK {
+		t.Fatalf("delta on the recovered session: %d %s", hr.StatusCode, body)
+	}
+	var dr SessionResponse
+	if err := json.Unmarshal(body, &dr); err != nil {
+		t.Fatal(err)
+	}
+	ng := g.Clone()
+	if err := ng.SetWeight(0, 9); err != nil {
+		t.Fatal(err)
+	}
+	want = scheduleJSON(t, cold, Request{Graph: ng, Platform: pl, Heuristic: "heft", Model: "oneport"})
+	if got := mustJSON(t, dr.Schedule); got != string(want) {
+		t.Fatalf("recovered schedule differs from a cold run:\nwant %s\ngot  %s", want, got)
+	}
+	hr, body = doJSON(t, rs, http.MethodGet, "/session/"+id+"/export", []byte{})
+	if hr.StatusCode != http.StatusOK || bytes.Contains(body, []byte("probe_par")) {
+		t.Fatalf("export answered %d, want 200 without probe_par: %.200s", hr.StatusCode, body)
+	}
+}
+
 // TestImportEpochSkew: an import tagged with a foreign ring epoch is
 // refused 409 with the serving epoch echoed — a draining sender must never
 // place sessions by a membership map the receiver does not share.

@@ -36,8 +36,7 @@ var keyPool = sync.Pool{New: func() any { return new(keyScratch) }}
 //     construction artifact — does not split the cache;
 //   - the platform encodes as raw cycle-time and link-matrix float bits
 //     (+Inf wires included), so sparse topologies hash faithfully;
-//   - Options.ProbeParallelism is excluded: it changes how fast the
-//     schedule is computed, never the schedule itself.
+//   - Options.ProbeParallelism is excluded: the server ignores it.
 //
 // The model string is normalized through Request.normalize before hashing,
 // so aliases ("macro" / "macrodataflow") share a key.

@@ -3,11 +3,9 @@ package service
 import (
 	"bytes"
 	"encoding/json"
-	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
-	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -69,73 +67,49 @@ func TestPanicRecovery(t *testing.T) {
 	}
 }
 
-// TestProbeParallelismClamp: a request may tune its probe fan-out, but only
-// up to max(server default, GOMAXPROCS) — one request cannot demand
-// arbitrary goroutine fan-out on a shared box — and negative values are
-// rejected as a 400.
-func TestProbeParallelismClamp(t *testing.T) {
-	srv := New(Config{ProbeParallelism: 2})
-	cap := srv.parCap()
-	if g := runtime.GOMAXPROCS(0); cap != g && cap != 2 || cap < 2 {
-		t.Fatalf("parCap = %d, want max(2, GOMAXPROCS=%d)", cap, g)
-	}
-	if got := srv.clampProbePar(0); got != 2 {
-		t.Fatalf("default fan-out = %d, want the server's 2", got)
-	}
-	if got := srv.clampProbePar(1); got != 1 {
-		t.Fatalf("in-range override = %d, want 1", got)
-	}
-	if got := srv.clampProbePar(1 << 30); got != cap {
-		t.Fatalf("hostile override clamped to %d, want %d", got, cap)
-	}
-
-	handler := srv.Handler()
-	// a hostile fan-out request still answers fine (clamped, not obeyed)
-	huge, err := json.Marshal(Request{
-		Graph: testbeds.LU(10, 10), Platform: platform.Paper(), Heuristic: "heft",
-		Options: Options{ProbeParallelism: 1 << 30},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if code, body := postRaw(handler, huge); code != http.StatusOK {
-		t.Fatalf("clamped request failed: %d %s", code, body)
-	}
-	// negative is a client error
-	neg := bytes.Replace(huge, []byte(fmt.Sprint(1<<30)), []byte("-1"), 1)
-	code, body := postRaw(handler, neg)
-	if code != http.StatusBadRequest || !bytes.Contains(body, []byte("probe_parallelism")) {
-		t.Fatalf("negative fan-out answered %d: %s", code, body)
-	}
-}
-
-// TestProbeParallelismKeepsSchedule pins the promise that lets
-// probe_parallelism stay out of the cache key: the same DLS request sent
-// at probe parallelism 1 and 2 to two fresh servers answers the same bytes
-// (elapsed_ns aside). STENCIL-30 on the paper platform under one-port is an
-// instance where DLS once picked another schedule at parallelism 1.
+// TestProbeParallelismKeepsSchedule pins the request option
+// probe_parallelism, which the server accepts and ignores: a request that
+// carries a positive or a huge value answers the same bytes (elapsed_ns
+// aside) as the same request without it, under the same cache key, and a
+// negative value is a 400 naming the option. STENCIL-30 DLS on the paper
+// platform under one-port is an instance where DLS once picked another
+// schedule at probe parallelism 1.
 func TestProbeParallelismKeepsSchedule(t *testing.T) {
-	var bodies [2][]byte
-	for i, par := range []int{1, 2} {
-		payload, err := json.Marshal(Request{
-			Graph: testbeds.Stencil(30, 10), Platform: platform.Paper(), Heuristic: "dls",
-			Model: "oneport", Options: Options{ProbeParallelism: par},
-		})
+	base := Request{
+		Graph: testbeds.Stencil(30, 10), Platform: platform.Paper(), Heuristic: "dls", Model: "oneport",
+	}
+	post := func(req Request) (int, []byte) {
+		t.Helper()
+		payload, err := json.Marshal(req)
 		if err != nil {
 			t.Fatal(err)
 		}
-		srv := New(Config{ProbeParallelism: 2})
-		if got := srv.clampProbePar(par); got != par {
-			t.Fatalf("probe parallelism %d clamped to %d", par, got)
-		}
-		code, body := postRaw(srv.Handler(), payload)
-		if code != http.StatusOK {
-			t.Fatalf("probe parallelism %d answered %d: %s", par, code, body)
-		}
-		bodies[i] = normElapsed(t, body)
+		// a fresh server, so every answer is computed, not a cache hit
+		return postRaw(New(Config{}).Handler(), payload)
 	}
-	if !bytes.Equal(bodies[0], bodies[1]) {
-		t.Fatal("DLS answers differ between probe parallelism 1 and 2")
+	code, body := post(base)
+	if code != http.StatusOK {
+		t.Fatalf("plain request answered %d: %s", code, body)
+	}
+	want := normElapsed(t, body)
+	for _, par := range []int{1, 2, 1 << 30} {
+		req := base
+		req.Options.ProbeParallelism = par
+		code, body := post(req)
+		if code != http.StatusOK {
+			t.Fatalf("probe_parallelism %d answered %d: %s", par, code, body)
+		}
+		if !bytes.Equal(normElapsed(t, body), want) {
+			t.Fatalf("probe_parallelism %d changed the answer", par)
+		}
+		if CanonicalKey(&req) != CanonicalKey(&base) {
+			t.Fatalf("probe_parallelism %d changed the cache key", par)
+		}
+	}
+	neg := base
+	neg.Options.ProbeParallelism = -1
+	if code, body := post(neg); code != http.StatusBadRequest || !bytes.Contains(body, []byte("probe_parallelism")) {
+		t.Fatalf("negative probe_parallelism answered %d: %s", code, body)
 	}
 }
 

@@ -43,13 +43,6 @@ type Config struct {
 	// CacheSize is the LRU result-cache capacity in entries (default 256;
 	// negative disables caching).
 	CacheSize int
-	// ProbeParallelism is the per-run probe fan-out handed to each
-	// scheduler (default 1: a loaded server gets its parallelism from
-	// concurrent requests, so single-probe runs avoid oversubscribing the
-	// machine; raise it for latency-sensitive, low-concurrency use).
-	// A request may override it upward only as far as
-	// max(ProbeParallelism, GOMAXPROCS) — see Server.clampProbePar.
-	ProbeParallelism int
 	// StreamBytes is the response-size estimate above which the server
 	// encodes straight to the ResponseWriter instead of buffering the whole
 	// body (and skips the encoded byte index for that entry). 0 uses
@@ -157,9 +150,6 @@ func New(cfg Config) *Server {
 	if cfg.CacheSize == 0 {
 		cfg.CacheSize = 256
 	}
-	if cfg.ProbeParallelism <= 0 {
-		cfg.ProbeParallelism = 1
-	}
 	if cfg.StreamBytes == 0 {
 		cfg.StreamBytes = defaultStreamBytes
 	}
@@ -213,31 +203,6 @@ func (s *Server) scratchPool(procs int) *sync.Pool {
 	}
 	p, _ := s.scratch.LoadOrStore(procs, &sync.Pool{New: func() any { return heuristics.NewScratch() }})
 	return p.(*sync.Pool)
-}
-
-// parCap is the server-side ceiling on per-run probe fan-out: the larger of
-// the configured default and GOMAXPROCS. Requests may tune their fan-out,
-// but no single request can demand arbitrary goroutine fan-out on a shared
-// box.
-func (s *Server) parCap() int {
-	if c := runtime.GOMAXPROCS(0); c > s.cfg.ProbeParallelism {
-		return c
-	}
-	return s.cfg.ProbeParallelism
-}
-
-// clampProbePar resolves one run's probe fan-out: the request override when
-// set — clamped to parCap — and the server default otherwise. Negative
-// overrides are rejected earlier, in Request.normalize.
-func (s *Server) clampProbePar(reqPar int) int {
-	par := s.cfg.ProbeParallelism
-	if reqPar > 0 {
-		par = reqPar
-	}
-	if cap := s.parCap(); par > cap {
-		par = cap
-	}
-	return par
 }
 
 // Run executes one request: cache lookup, then a pooled scheduler run under
@@ -343,16 +308,13 @@ func (s *Server) compute(req *Request, key string, model sched.Model, ln lane) (
 }
 
 // run is compute's scheduler run, under admission or the pool semaphore.
-// It is panic-hardened: a panicking heuristic — on this goroutine or
-// re-raised from a shared probe worker (heuristics' pool faults surface
-// after the fan-out barrier) — becomes a serverFault response (HTTP 500)
-// instead of escaping the "never panics" contract. The pooled Scratch goes
-// back via defer on every normal path; on a panic it is deliberately
-// dropped, not re-pooled: the heuristic's own reclaim defer runs during
-// unwinding and may have restocked it with the dead run's buffers, which a
-// mid-fan-out panic can leave referenced by in-flight probe workers —
-// dropping the one Scratch is the alias-free option, and the pool regrows
-// a fresh one on demand.
+// It is panic-hardened: a panicking heuristic becomes a serverFault
+// response (HTTP 500) instead of escaping the "never panics" contract. The
+// pooled Scratch goes back via defer on every normal path; on a panic it
+// is deliberately dropped, not re-pooled: the heuristic's own reclaim
+// defer runs during unwinding and may have restocked it with the dead
+// run's buffers, which a panic can leave half-written — dropping the one
+// Scratch is the safe option, and the pool regrows a fresh one on demand.
 func (s *Server) run(req *Request, key string, model sched.Model, ln lane) (resp Response) {
 	if s.admission != nil {
 		// admission decides BEFORE any pool slot is taken: a shed costs
@@ -382,7 +344,7 @@ func (s *Server) run(req *Request, key string, model sched.Model, ln lane) (resp
 		pool.Put(sc)
 	}()
 
-	tune := &heuristics.Tuning{ProbeParallelism: s.clampProbePar(req.Options.ProbeParallelism), Scratch: sc}
+	tune := &heuristics.Tuning{Scratch: sc}
 	if d := s.cfg.RequestTimeout; d > 0 {
 		// deadline on a fresh context, NOT the client request's: a
 		// singleflight leader computes for its followers, so its own

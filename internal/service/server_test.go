@@ -103,7 +103,7 @@ func TestScheduleMatchesLibrary(t *testing.T) {
 // the direct library result regardless of interleaving, cache state or
 // scratch reuse.
 func TestConcurrentRequestsByteIdentical(t *testing.T) {
-	srv := New(Config{PoolSize: 4, ProbeParallelism: 2})
+	srv := New(Config{PoolSize: 4})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 

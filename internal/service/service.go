@@ -49,12 +49,11 @@ type Options struct {
 	B int `json:"b,omitempty"`
 	// ScanDepth is ILHA's Step-1 scan depth.
 	ScanDepth int `json:"scan_depth,omitempty"`
-	// ProbeParallelism overrides the server's per-run probe fan-out for
-	// this request (0 keeps the server default; negative is rejected). The
-	// server clamps it to max(its configured default, GOMAXPROCS), so one
-	// request cannot demand arbitrary fan-out on a shared box. It never
-	// changes the resulting schedule — parallel probing is deterministic —
-	// so it is deliberately NOT part of the cache key.
+	// ProbeParallelism is accepted and ignored: every run probes on one
+	// goroutine. A negative value is still rejected, and the field is not
+	// part of the cache key.
+	//
+	// Deprecated: clients written for an earlier server still send it.
 	ProbeParallelism int `json:"probe_parallelism,omitempty"`
 }
 

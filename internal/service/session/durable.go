@@ -35,10 +35,12 @@ type Snapshot struct {
 	// Model is the canonical model name (cli.ModelName form).
 	Model string `json:"model"`
 	B     int    `json:"b,omitempty"`
-	// ScanDepth is ILHA's Step-1 scan depth; ProbePar the clamped per-run
-	// probe fan-out the session was opened with.
+	// ScanDepth is ILHA's Step-1 scan depth.
 	ScanDepth int `json:"scan_depth,omitempty"`
-	ProbePar  int `json:"probe_par,omitempty"`
+	// ProbePar is decoded and ignored, and never written: journals and
+	// handoffs from an earlier version carry it, and the peer import
+	// decodes with DisallowUnknownFields.
+	ProbePar int `json:"probe_par,omitempty"`
 	// Deltas is the session's lifetime delta count at snapshot time, so
 	// the client-visible counter survives recovery and handoff.
 	Deltas int `json:"deltas"`
@@ -54,7 +56,6 @@ func (m *Manager) snapshotLocked(s *Session) *Snapshot {
 		Model:     cli.ModelName(s.model),
 		B:         s.opts.B,
 		ScanDepth: s.opts.ScanDepth,
-		ProbePar:  s.par,
 		Deltas:    s.deltas,
 	}
 }
@@ -85,7 +86,6 @@ func sessionFromSnapshot(id string, snap *Snapshot) (*Session, error) {
 		heur:    snap.Heuristic,
 		model:   model,
 		opts:    heuristics.ILHAOptions{B: snap.B, ScanDepth: snap.ScanDepth},
-		par:     snap.ProbePar,
 		scratch: heuristics.NewScratch(),
 		deltas:  snap.Deltas,
 	}, nil

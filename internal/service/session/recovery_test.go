@@ -369,7 +369,7 @@ func TestHandoffFailedSendKeepsSession(t *testing.T) {
 func TestImportRejectsBadIDs(t *testing.T) {
 	m := NewManager(Config{})
 	g, pl := testbeds.ForkJoin(5, 10), platform.Paper()
-	snap := &Snapshot{Graph: g, Platform: pl, Heuristic: "heft", Model: "oneport", ProbePar: 1}
+	snap := &Snapshot{Graph: g, Platform: pl, Heuristic: "heft", Model: "oneport"}
 	for _, id := range []string{
 		"", "short", "../../../../etc/passwd00112233",
 		"ABCDEF00112233445566778899aabbcc", // upper hex
@@ -390,7 +390,7 @@ func TestImportFullTable(t *testing.T) {
 		t.Fatal(err)
 	}
 	snap := &Snapshot{ID: "00112233445566778899aabbccddeeff",
-		Graph: g, Platform: pl, Heuristic: "heft", Model: "oneport", ProbePar: 1}
+		Graph: g, Platform: pl, Heuristic: "heft", Model: "oneport"}
 	if _, _, err := m.Import(context.Background(), snap); !errors.Is(err, ErrFull) {
 		t.Fatalf("Import on a full table = %v, want ErrFull", err)
 	}

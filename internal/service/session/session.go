@@ -80,15 +80,18 @@ type Config struct {
 }
 
 // Params opens a session: the same fields a /schedule request carries,
-// already normalized and clamped by the caller (the HTTP layer reuses the
-// service's request normalization).
+// already normalized by the caller (the HTTP layer reuses the service's
+// request normalization).
 type Params struct {
 	Graph     *graph.Graph
 	Platform  *platform.Platform
 	Heuristic string
 	Model     sched.Model
 	Opts      heuristics.ILHAOptions
-	// ProbePar is the clamped per-run probe fan-out.
+	// ProbePar is ignored: every run probes on one goroutine.
+	//
+	// Deprecated: nothing reads it. It stays so that callers which still
+	// set it compile.
 	ProbePar int
 }
 
@@ -130,7 +133,6 @@ type Session struct {
 	heur    string
 	model   sched.Model
 	opts    heuristics.ILHAOptions
-	par     int
 	scratch *heuristics.Scratch
 	// prev carries the last run's commit order and schedule for prefix
 	// replay; nil when the heuristic has no simulable order (every delta
@@ -189,7 +191,6 @@ func (m *Manager) Open(ctx context.Context, p Params) (string, *RunInfo, error) 
 		heur:    p.Heuristic,
 		model:   p.Model,
 		opts:    p.Opts,
-		par:     p.ProbePar,
 		scratch: heuristics.NewScratch(),
 	}
 	m.mu.Lock()
@@ -352,8 +353,8 @@ func (m *Manager) Close(id string) error {
 // run executes the incremental scheduler for a session, panic-hardened the
 // same way the serving path's compute is: a panicking heuristic becomes an
 // ErrFault, and the session's Scratch is dropped for a fresh one (the dead
-// run's reclaim may have restocked it with buffers a mid-fan-out panic
-// left referenced by pool workers — dropping is the alias-free option).
+// run's reclaim may have restocked it with buffers the panic left
+// half-written — dropping is the safe option).
 // The produced schedule is re-validated before being trusted.
 func (m *Manager) run(ctx context.Context, s *Session, prev *heuristics.PrevRun, dirty []bool) (res *heuristics.IncResult, elapsedNs int64, err error) {
 	defer func() {
@@ -362,7 +363,7 @@ func (m *Manager) run(ctx context.Context, s *Session, prev *heuristics.PrevRun,
 			res, err = nil, fmt.Errorf("%w: %v", ErrFault, r)
 		}
 	}()
-	tune := &heuristics.Tuning{ProbeParallelism: s.par, Scratch: s.scratch, Ctx: ctx}
+	tune := &heuristics.Tuning{Scratch: s.scratch, Ctx: ctx}
 	began := time.Now()
 	res, err = heuristics.RunIncremental(s.heur, s.g, s.pl, s.model, s.opts, tune, prev, dirty)
 	elapsedNs = time.Since(began).Nanoseconds()

@@ -20,7 +20,7 @@ func fptr(v float64) *float64 { return &v }
 func iptr(v int) *int         { return &v }
 
 func openParams(g *graph.Graph, pl *platform.Platform, heur string) Params {
-	return Params{Graph: g, Platform: pl, Heuristic: heur, Model: sched.OnePort, ProbePar: 1}
+	return Params{Graph: g, Platform: pl, Heuristic: heur, Model: sched.OnePort}
 }
 
 // sameJSON asserts two schedules are byte-identical through the wire
@@ -456,7 +456,7 @@ func BenchmarkSessionDelta(b *testing.B) {
 	})
 
 	b.Run("cold", func(b *testing.B) {
-		tune := &heuristics.Tuning{ProbeParallelism: 1, Scratch: heuristics.NewScratch()}
+		tune := &heuristics.Tuning{Scratch: heuristics.NewScratch()}
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {

@@ -48,8 +48,8 @@ type SessionResponse struct {
 }
 
 // handleSessionOpen opens a scheduling session: the body is a /schedule
-// Request (same normalization, same clamping), the reply the cold
-// schedule plus the session id to stream deltas at.
+// Request (same normalization), the reply the cold schedule plus the
+// session id to stream deltas at.
 func (s *Server) handleSessionOpen(w http.ResponseWriter, r *http.Request) {
 	if s.refuseWhileDraining(w) {
 		return
@@ -92,7 +92,6 @@ func (s *Server) handleSessionOpen(w http.ResponseWriter, r *http.Request) {
 		Heuristic: req.Heuristic,
 		Model:     model,
 		Opts:      heuristics.ILHAOptions{B: req.Options.B, ScanDepth: req.Options.ScanDepth},
-		ProbePar:  s.clampProbePar(req.Options.ProbeParallelism),
 	})
 	if err != nil {
 		s.writeSessionError(w, err)

@@ -151,9 +151,7 @@ func (wk *Worker) runShard(ctx context.Context, sh *Shard, allowFleet bool) (*Sh
 			defer wg.Done()
 			// per-lane scratch: jobs on a lane run one after another, so
 			// the one-run-at-a-time Tuning rule holds by construction.
-			// ProbeParallelism 1: the lanes already saturate the CPUs, so
-			// per-run probe fan-out would only add contention.
-			tune := &heuristics.Tuning{ProbeParallelism: 1, Scratch: heuristics.NewScratch()}
+			tune := &heuristics.Tuning{Scratch: heuristics.NewScratch()}
 			for {
 				mu.Lock()
 				i := next
