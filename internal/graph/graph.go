@@ -245,31 +245,29 @@ func (g *Graph) TotalData() float64 {
 // directed cycle.
 var ErrCycle = errors.New("graph: not a DAG (cycle detected)")
 
-// TopoOrder returns the node ids in a topological order (Kahn's algorithm,
-// smallest-id-first among ready nodes, so the order is deterministic).
+// TopoOrder returns the node ids in a topological order (Kahn's algorithm
+// with a FIFO queue: the sources in id order, then each node as it becomes
+// ready, so the order is deterministic).
 func (g *Graph) TopoOrder() ([]int, error) {
 	n := len(g.weights)
 	indeg := make([]int, n)
 	for v := range g.pred {
 		indeg[v] = len(g.pred[v])
 	}
-	// A simple FIFO queue keeps the order deterministic: sources are pushed
-	// in id order and each node pushes its successors in adjacency order.
-	queue := make([]int, 0, n)
+	// The queue is order itself: sources are pushed in id order, each node
+	// pushes its successors in adjacency order as they become ready, every
+	// node is appended once, and order[head] is the next one to pop.
+	order := make([]int, 0, n)
 	for v := 0; v < n; v++ {
 		if indeg[v] == 0 {
-			queue = append(queue, v)
+			order = append(order, v)
 		}
 	}
-	order := make([]int, 0, n)
-	for len(queue) > 0 {
-		v := queue[0]
-		queue = queue[1:]
-		order = append(order, v)
-		for _, a := range g.succ[v] {
+	for head := 0; head < len(order); head++ {
+		for _, a := range g.succ[order[head]] {
 			indeg[a.Node]--
 			if indeg[a.Node] == 0 {
-				queue = append(queue, a.Node)
+				order = append(order, a.Node)
 			}
 		}
 	}

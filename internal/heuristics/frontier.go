@@ -437,13 +437,7 @@ func (f *frontier) rebound(v, p int, preds []predInfo, rel []float64) float64 {
 // stays sound because timelines only grow.
 func (f *frontier) fastRefresh(v, p int, e *frontierEntry) {
 	s := f.s
-	after := e.ready
-	if s.appendOnly {
-		if le := s.compute[p].LastEnd(); le > after {
-			after = le
-		}
-	}
-	start := s.compute[p].EarliestGap(after, s.pl.ExecTime(s.g.Weight(v), p))
+	start := s.startFrom(e.ready, s.pl.ExecTime(s.g.Weight(v), p), p)
 	if e.bound == e.start {
 		e.bound = start
 	}
@@ -564,10 +558,7 @@ func (f *frontier) startBound(b *probeBuf, v, p int, preds []predInfo, pl placem
 		// timeline alone places the task there too
 		return pl.start
 	}
-	if s.appendOnly {
-		ready = max(ready, s.compute[p].LastEnd())
-	}
-	return s.compute[p].EarliestGap(ready, s.pl.ExecTime(s.g.Weight(v), p))
+	return s.startFrom(ready, s.pl.ExecTime(s.g.Weight(v), p), p)
 }
 
 // exactSums reports whether every partial sum of the hops' releases and

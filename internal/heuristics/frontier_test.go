@@ -2,6 +2,7 @@ package heuristics
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"slices"
@@ -330,9 +331,10 @@ func boundPlatforms(t *testing.T) []struct {
 // probed in this run must keep the engine's boundStart and boundFinish at
 // or below what a fresh probe returns after every later commit, whether
 // the entry is stale or not, and a valid entry must carry the fresh start
-// exactly; and bestEFT's finishBound of every ready task on every
-// processor, with the sender releases bestEFT computes, must stay at or
-// below the fresh finish. The walks refresh random rows only now and
+// exactly; and the finish bound of every ready task on every processor
+// (earliestStart plus the execution time, the bound bestEFT's pass gives
+// each candidate), with the sender releases bestEFT computes, must stay at
+// or below the fresh finish. The walks refresh random rows only now and
 // then, so entries go stale across many commits and through compute-only
 // refreshes. Now and then a walk records a fresh bound in a random stale
 // pair, as DLS's bound pass does (frontier.rebound); each such bound-only
@@ -340,7 +342,7 @@ func boundPlatforms(t *testing.T) []struct {
 // commit and must never be served as valid, and every model that ran must
 // have checked some. Append-only placement runs both ways: it moves the
 // compute gap search of both bounds. Under each port model that ran, some
-// finishBound checks must have a remote predecessor whose release is past
+// finish bound checks must have a remote predecessor whose release is past
 // its finish, or the release term went untested.
 func TestFrontierBoundSound(t *testing.T) {
 	checks, loose := 0, 0
@@ -366,11 +368,11 @@ func TestFrontierBoundSound(t *testing.T) {
 			}
 		}
 	}
-	t.Logf("%d bound checks, %d with a bound strictly below the fresh start; finishBound checks with a release past its finish: %v; bound-only entry checks: %v",
+	t.Logf("%d bound checks, %d with a bound strictly below the fresh start; finish bound checks with a release past its finish: %v; bound-only entry checks: %v",
 		checks, loose, released, recorded)
 	for _, model := range []sched.Model{sched.OnePort, sched.UniPort, sched.OnePortNoOverlap} {
 		if ran[model] && released[model] == 0 {
-			t.Errorf("%s: no finishBound check had a sender release past its predecessor's finish", model)
+			t.Errorf("%s: no finish bound check had a sender release past its predecessor's finish", model)
 		}
 	}
 	for _, model := range sched.Models() {
@@ -449,7 +451,7 @@ func TestExactSums(t *testing.T) {
 
 // boundWalk runs one randomized commit walk for TestFrontierBoundSound and
 // returns how many engine entries it checked, how many of their bounds
-// were strictly below the fresh start, how many finishBound checks had a
+// were strictly below the fresh start, how many finish bound checks had a
 // remote predecessor whose sender release is past its finish, and how many
 // of the checked entries were bound-only. Under the models with no sender
 // term every release must be the finish.
@@ -493,8 +495,8 @@ func boundWalk(t *testing.T, g *graph.Graph, pl *platform.Platform, model sched.
 			row := f.row(v)
 			for p := 0; p < np; p++ {
 				fresh := s.probeWith(check, v, p, preds)
-				if fb := s.finishBound(g.Weight(v), p, preds, rel); fb > fresh.finish {
-					t.Fatalf("task %d proc %d: finishBound %g above the fresh finish %g", v, p, fb, fresh.finish)
+				if start, dur := s.earliestStart(g.Weight(v), p, preds, rel); start+dur > fresh.finish {
+					t.Fatalf("task %d proc %d: finish bound %g above the fresh finish %g", v, p, start+dur, fresh.finish)
 				}
 				for i := range preds {
 					if preds[i].proc != p && rel[i] > preds[i].finish {
@@ -543,9 +545,13 @@ func boundWalk(t *testing.T, g *graph.Graph, pl *platform.Platform, model sched.
 // processors and for random candidate subsets (ILHA's CapStep2 passes
 // ascending ones; shuffled ones check that ties go by position, not by
 // processor), under every model, on the bound platforms, with append-only
-// on and off. The same walks check the probe's cut at the incumbent
-// (checkCuts) on the random subsets. The par1 and par8 legs set the
-// deprecated Tuning.ProbeParallelism to 1 and 8, which must change nothing.
+// on and off. After every scan, each candidate's finish bound from bestEFT's
+// one-predecessor-at-a-time pass, and the bound earliestStart gives the
+// candidate alone, must equal the per-candidate bound the scan took before
+// (finishBoundReference) bit for bit. The same walks check the probe's cut
+// at the incumbent (checkCuts) on the random subsets. The par1 and par8
+// legs set the deprecated Tuning.ProbeParallelism to 1 and 8, which must
+// change nothing.
 func TestBestEFTMatchesReference(t *testing.T) {
 	var n eftCounts
 	for _, c := range boundPlatforms(t) {
@@ -562,20 +568,20 @@ func TestBestEFTMatchesReference(t *testing.T) {
 			}
 		}
 	}
-	t.Logf("%d scans matched the reference; %d incumbent probes cut, %d ran on; %d incumbents tied below, %d above",
-		n.scans, n.cut, n.ran, n.tieBelow, n.tieAbove)
+	t.Logf("%d scans matched the reference, %d bounds; %d incumbent probes cut, %d ran on; %d incumbents tied below, %d above",
+		n.scans, n.bounds, n.cut, n.ran, n.tieBelow, n.tieAbove)
 	if n.cut == 0 || n.ran == 0 || n.tieBelow == 0 || n.tieAbove == 0 {
 		t.Fatal("the walks left a case of the incumbent cut unchecked")
 	}
 }
 
-// eftCounts tallies what the eftWalks compared: bestEFT scans matched
-// against the reference, incumbent probes that were cut or ran on, and
-// incumbents whose finish equals the candidate's at a lower or a higher
-// position.
+// eftCounts tallies what the eftWalks compared: bestEFT scans and
+// candidate bounds matched against the reference, incumbent probes that
+// were cut or ran on, and incumbents whose finish equals the candidate's at
+// a lower or a higher position.
 type eftCounts struct {
-	scans, cut, ran    int
-	tieBelow, tieAbove int
+	scans, bounds, cut, ran int
+	tieBelow, tieAbove      int
 }
 
 // eftWalk runs one randomized commit walk for TestBestEFTMatchesReference,
@@ -606,6 +612,7 @@ func eftWalk(t *testing.T, g *graph.Graph, pl *platform.Platform, model sched.Mo
 					t.Fatalf("task %d, candidates %v: %v", v, cands, err)
 				}
 				n.scans++
+				checkBounds(t, s, v, cands, n)
 			}
 			checkCuts(t, s, check, v, subset, rng, n)
 		}
@@ -614,6 +621,32 @@ func eftWalk(t *testing.T, g *graph.Graph, pl *platform.Platform, model sched.Mo
 		ready = append(ready[:i], ready[i+1:]...)
 		s.commit(v, s.probe(v, rng.Intn(np), s.preds(v)))
 		ready = append(ready, rel.release(v)...)
+	}
+}
+
+// checkBounds checks, right after s.bestEFT(v, cands), the finish bound of
+// every candidate position in bestEFT's scratch, and the bound
+// earliestStart gives the candidate alone, against finishBoundReference,
+// bit for bit.
+func checkBounds(t *testing.T, s *state, v int, cands []int, n *eftCounts) {
+	t.Helper()
+	m := len(cands)
+	if cands == nil {
+		m = s.pl.NumProcs()
+	}
+	bounds := s.bounds[:m]
+	preds := s.preds(v)
+	rel := s.senderReleases(preds)
+	w := s.g.Weight(v)
+	for j, got := range bounds {
+		p := candidateAt(cands, j)
+		want := finishBoundReference(s, w, p, preds, rel)
+		start, dur := s.earliestStart(w, p, preds, rel)
+		if math.Float64bits(got) != math.Float64bits(want) || math.Float64bits(start+dur) != math.Float64bits(want) {
+			t.Fatalf("task %d, candidates %v, position %d (P%d): bestEFT bound %v, earliestStart bound %v, reference %v",
+				v, cands, j, p, got, start+dur, want)
+		}
+		n.bounds++
 	}
 }
 

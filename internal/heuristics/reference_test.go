@@ -12,8 +12,9 @@ import (
 
 // This file preserves the pre-frontier-engine implementations of DLS, BIL
 // and the Exhaustive search verbatim (modulo renamed ready-list plumbing) as
-// test oracles, together with CPOP and the plain earliest-finish scan that
-// the bound-seeded bestEFT replaced: the engine-backed and pruned
+// test oracles, together with CPOP, the plain earliest-finish scan that
+// the bound-seeded bestEFT replaced and the per-candidate finish bound its
+// one-predecessor-at-a-time bound pass replaced: the engine-backed and pruned
 // implementations must produce byte-identical schedules, and the
 // *_Reference benchmarks in frontier_bench_test.go keep the before/after
 // performance ratio visible. One deliberate deviation: the
@@ -94,6 +95,38 @@ func bestEFTReference(s *state, v int, candidates []int) placement {
 		}
 	}
 	return best
+}
+
+// finishBoundReference is the per-candidate finish bound bestEFT took before
+// its bound pass ran one predecessor at a time: for each predecessor, its
+// finish when local, else its sender release plus its route's hop
+// durations walked hop by hop; then the gap search on p's committed compute
+// timeline with the k-view walk, after the append-only horizon; plus the
+// execution time.
+func finishBoundReference(s *state, w float64, p int, preds []predInfo, rel []float64) float64 {
+	ready := 0.0
+	for i := range preds {
+		pr := &preds[i]
+		t := pr.finish
+		if pr.proc != p {
+			t = rel[i]
+			for a, b := pr.proc, s.hop(pr.proc, p); a != p; a, b = b, s.hop(b, p) {
+				t += s.pl.CommTime(pr.data, a, b)
+			}
+		}
+		if t > ready {
+			ready = t
+		}
+	}
+	dur := s.pl.ExecTime(w, p)
+	if last := s.compute[p].LastEnd(); last > ready {
+		if s.appendOnly {
+			ready = last
+		} else {
+			ready = sched.EarliestGap(ready, dur, sched.View{Base: &s.compute[p]})
+		}
+	}
+	return ready + dur
 }
 
 // bilReference is the original BIL loop: level computation plus a plain

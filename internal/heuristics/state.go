@@ -33,9 +33,10 @@ type state struct {
 	// Communications always use gap search (ports are shared resources).
 	appendOnly bool
 
-	compute []*sched.Intervals          // per-processor execution timeline
-	send    []*sched.Intervals          // send-port timeline (the combined port under UniPort)
-	recv    []*sched.Intervals          // receive-port timeline
+	// per-processor timelines, held by value in one slab of 3·procs
+	compute []sched.Intervals           // execution timeline
+	send    []sched.Intervals           // send-port timeline (the combined port under UniPort)
+	recv    []sched.Intervals           // receive-port timeline
 	wires   map[[2]int]*sched.Intervals // per-wire timeline (LinkContention)
 
 	sch *sched.Schedule
@@ -121,22 +122,15 @@ func newState(g *graph.Graph, pl *platform.Platform, model sched.Model, tune *Tu
 		return nil, err
 	}
 	s := &state{
-		g:       g,
-		pl:      pl,
-		model:   model,
-		ctx:     tune.runCtx(),
-		compute: make([]*sched.Intervals, pl.NumProcs()),
-		send:    make([]*sched.Intervals, pl.NumProcs()),
-		recv:    make([]*sched.Intervals, pl.NumProcs()),
-		sch:     sched.NewSchedule(g.NumNodes(), pl.NumProcs()),
+		g:     g,
+		pl:    pl,
+		model: model,
+		ctx:   tune.runCtx(),
+		sch:   sched.NewSchedule(g.NumNodes(), pl.NumProcs()),
 	}
+	s.compute, s.send, s.recv = timelines(make([]sched.Intervals, 3*pl.NumProcs()), pl.NumProcs())
 	if tune != nil && tune.Scratch != nil {
 		tune.Scratch.lend(s)
-	}
-	for i := 0; i < pl.NumProcs(); i++ {
-		s.compute[i] = &sched.Intervals{}
-		s.send[i] = &sched.Intervals{}
-		s.recv[i] = &sched.Intervals{}
 	}
 	if pl.Sparse() {
 		rt, err := pl.Routes()
@@ -146,6 +140,12 @@ func newState(g *graph.Graph, pl *platform.Platform, model sched.Model, tune *Tu
 		s.routes = rt
 	}
 	return s, nil
+}
+
+// timelines splits a slab of at least 3·n timelines into the compute, send
+// and receive timelines of n processors.
+func timelines(slab []sched.Intervals, n int) (compute, send, recv []sched.Intervals) {
+	return slab[:n:n], slab[n : 2*n : 2*n], slab[2*n : 3*n : 3*n]
 }
 
 // clone deep-copies the state (used by the ILHA communication-rescheduling
@@ -164,9 +164,6 @@ func (s *state) clone() *state {
 		routes:     s.routes,
 		ctx:        s.ctx,
 		appendOnly: s.appendOnly,
-		compute:    make([]*sched.Intervals, n),
-		send:       make([]*sched.Intervals, n),
-		recv:       make([]*sched.Intervals, n),
 		sch: &sched.Schedule{
 			Tasks: append([]sched.TaskEvent(nil), s.sch.Tasks...),
 			Comms: append([]sched.CommEvent(nil), s.sch.Comms...),
@@ -183,13 +180,11 @@ func (s *state) clone() *state {
 	}
 	arena := make([]sched.Interval, 0, total)
 	base := make([]sched.Intervals, 3*n+len(s.wires))
+	c.compute, c.send, c.recv = timelines(base, n)
 	for i := 0; i < n; i++ {
-		base[3*i] = s.compute[i].CloneUsing(&arena)
-		base[3*i+1] = s.send[i].CloneUsing(&arena)
-		base[3*i+2] = s.recv[i].CloneUsing(&arena)
-		c.compute[i] = &base[3*i]
-		c.send[i] = &base[3*i+1]
-		c.recv[i] = &base[3*i+2]
+		c.compute[i] = s.compute[i].CloneUsing(&arena)
+		c.send[i] = s.send[i].CloneUsing(&arena)
+		c.recv[i] = s.recv[i].CloneUsing(&arena)
 	}
 	if len(s.wires) > 0 {
 		c.wires = make(map[[2]int]*sched.Intervals, len(s.wires))
@@ -251,25 +246,25 @@ func (s *state) placeComm(b *probeBuf, u, v int, data float64, q, r int, ready f
 		switch s.model {
 		case sched.OnePort:
 			start, from = sched.EarliestGapMoved(t, dur,
-				sched.View{Base: s.send[pa], Extra: b.send[pa], Cur: b.cur(b.sendCur, pa)},
-				sched.View{Base: s.recv[pb], Extra: b.recv[pb], Cur: b.cur(b.recvCur, pb)})
+				sched.View{Base: &s.send[pa], Extra: b.send[pa], Cur: b.cur(b.sendCur, pa)},
+				sched.View{Base: &s.recv[pb], Extra: b.recv[pb], Cur: b.cur(b.recvCur, pb)})
 			b.addSend(pa, start, start+dur)
 			b.addRecv(pb, start, start+dur)
 		case sched.UniPort:
 			// a single half-duplex port per processor: every hop occupies
 			// the (combined) port of both endpoints, stored in send[].
 			start, from = sched.EarliestGapMoved(t, dur,
-				sched.View{Base: s.send[pa], Extra: b.send[pa], Cur: b.cur(b.sendCur, pa)},
-				sched.View{Base: s.send[pb], Extra: b.send[pb], Cur: b.cur(b.sendCur, pb)})
+				sched.View{Base: &s.send[pa], Extra: b.send[pa], Cur: b.cur(b.sendCur, pa)},
+				sched.View{Base: &s.send[pb], Extra: b.send[pb], Cur: b.cur(b.sendCur, pb)})
 			b.addSend(pa, start, start+dur)
 			b.addSend(pb, start, start+dur)
 		case sched.OnePortNoOverlap:
 			// one-port rules and the hop blocks computation on both ends
 			start, from = sched.EarliestGapMoved(t, dur,
-				sched.View{Base: s.send[pa], Extra: b.send[pa], Cur: b.cur(b.sendCur, pa)},
-				sched.View{Base: s.recv[pb], Extra: b.recv[pb], Cur: b.cur(b.recvCur, pb)},
-				sched.View{Base: s.compute[pa], Extra: b.compute[pa], Cur: b.cur(b.computeCur, pa)},
-				sched.View{Base: s.compute[pb], Extra: b.compute[pb], Cur: b.cur(b.computeCur, pb)})
+				sched.View{Base: &s.send[pa], Extra: b.send[pa], Cur: b.cur(b.sendCur, pa)},
+				sched.View{Base: &s.recv[pb], Extra: b.recv[pb], Cur: b.cur(b.recvCur, pb)},
+				sched.View{Base: &s.compute[pa], Extra: b.compute[pa], Cur: b.cur(b.computeCur, pa)},
+				sched.View{Base: &s.compute[pb], Extra: b.compute[pb], Cur: b.cur(b.computeCur, pb)})
 			b.addSend(pa, start, start+dur)
 			b.addRecv(pb, start, start+dur)
 			b.addCompute(pa, start, start+dur)
@@ -403,9 +398,15 @@ func (s *state) probeAgainst(b *probeBuf, v, proc int, preds []predInfo, inc *in
 		}
 	}
 	// under OnePortNoOverlap the task's own incoming messages also reserved
-	// the processor's compute timeline (b.compute), so include the overlay
-	start := sched.EarliestGap(ready, dur,
-		sched.View{Base: s.compute[proc], Extra: b.compute[proc], Cur: b.cur(b.computeCur, proc)})
+	// the processor's compute timeline (b.compute), so include the overlay;
+	// without one the committed timeline alone takes the single-timeline walk
+	var start float64
+	if len(b.compute[proc]) == 0 {
+		start = s.compute[proc].EarliestGap(ready, dur)
+	} else {
+		start = sched.EarliestGap(ready, dur,
+			sched.View{Base: &s.compute[proc], Extra: b.compute[proc], Cur: b.cur(b.computeCur, proc)})
+	}
 	return placement{proc: proc, ready: commReady, start: start, finish: start + dur, comms: b.comms}, false
 }
 
@@ -513,7 +514,7 @@ func (s *state) senderReleases(preds []predInfo) []float64 {
 		case sched.OnePort, sched.UniPort:
 			t = s.send[pr.proc].EarliestGap(t, dur)
 		case sched.OnePortNoOverlap:
-			t = sched.EarliestGap(t, dur, sched.View{Base: s.send[pr.proc]}, sched.View{Base: s.compute[pr.proc]})
+			t = sched.EarliestGap(t, dur, sched.View{Base: &s.send[pr.proc]}, sched.View{Base: &s.compute[pr.proc]})
 		}
 		rel = append(rel, t)
 	}
@@ -521,22 +522,76 @@ func (s *state) senderReleases(preds []predInfo) []float64 {
 	return rel
 }
 
+// readyBounds sets ready[j], for every candidate position j, to a lower
+// bound on the earliest start the incoming messages of a probe on
+// processor candidateAt(candidates, j) allow, without probing; rel holds
+// the predecessors' sender releases (senderReleases). It runs one
+// predecessor at a time over every position. A local predecessor
+// contributes its finish. A remote one on q contributes its release plus
+// its route's hop durations, the same CommTime terms placeComm adds, in the
+// same order. On a dense platform the route is the one wire q→p, so when
+// every processor is a candidate the term is release + data × link(q, p),
+// read along row q of the link matrix; otherwise the chain walks
+// state.hop, one hop on a dense platform, with the same float operations.
+//
+// It is sound because the probe's first hop starts no earlier than the
+// release (it searches from the predecessor's finish, on the same
+// timelines plus more, for a window at least as long), a later hop never
+// starts before the previous one ends, and the same float sums, added in
+// the same order, round monotonically.
+func (s *state) readyBounds(ready []float64, candidates []int, preds []predInfo, rel []float64) {
+	clear(ready)
+	for i := range preds {
+		q, finish, release, data := preds[i].proc, preds[i].finish, rel[i], preds[i].data
+		if s.routes == nil && candidates == nil {
+			for p, link := range s.pl.LinkRow(q)[:len(ready)] {
+				t := finish
+				if p != q {
+					t = release + data*link
+				}
+				if t > ready[p] {
+					ready[p] = t
+				}
+			}
+			continue
+		}
+		for j := range ready {
+			p := candidateAt(candidates, j)
+			t := finish
+			if p != q {
+				t = release
+				for a, b := q, s.hop(q, p); a != p; a, b = b, s.hop(b, p) {
+					t += s.pl.CommTime(data, a, b)
+				}
+			}
+			if t > ready[j] {
+				ready[j] = t
+			}
+		}
+	}
+}
+
+// startFrom returns the start a gap search on p's committed compute
+// timeline gives a task of duration dur whose messages allow it to start
+// at ready, after the append-only horizon. A search from at or past the
+// timeline's last busy end returns its start, so that case skips it.
+func (s *state) startFrom(ready, dur float64, p int) float64 {
+	c := &s.compute[p]
+	if last := c.LastEnd(); last > ready {
+		if s.appendOnly {
+			return last
+		}
+		return c.EarliestGap(ready, dur)
+	}
+	return ready
+}
+
 // earliestStart returns a lower bound on the start a probe of a task of
 // weight w on processor p would return, without probing, and the task's
-// execution time on p; rel holds the predecessors' sender releases
-// (senderReleases). A local predecessor contributes its finish. A remote
-// one contributes its release plus its route's hop durations — the same
-// CommTime terms placeComm adds, in the same order. A gap search on p's
-// committed compute timeline from the latest of them (after the
-// append-only horizon) gives the bound. It is sound because the probe's
-// first hop starts no earlier than the release (it searches from the
-// predecessor's finish, on the same timelines plus more, for a window at
-// least as long), a later hop never starts before the previous one ends, a
-// gap search never returns earlier from a later start or on a superset of
-// busy intervals (the probe searches the committed timeline plus its own
-// overlay), and the same float sums, added in the same order, round
-// monotonically. A search from at or past the timeline's last busy end
-// returns its start, so that case skips it.
+// execution time on p: readyBounds for the one candidate, then startFrom.
+// It is sound because a gap search never returns earlier from a later
+// start or on a superset of busy intervals (the probe searches the
+// committed timeline plus its own overlay).
 //
 // For a ready task the bound never decreases as commits add intervals: its
 // predecessor list is fixed, every release and the compute search are gap
@@ -545,37 +600,11 @@ func (s *state) senderReleases(preds []predInfo) []float64 {
 // below every later probe's start, which is what lets the DLS bound pass
 // record it (frontier.rebound).
 func (s *state) earliestStart(w float64, p int, preds []predInfo, rel []float64) (start, dur float64) {
-	ready := 0.0
-	for i := range preds {
-		pr := &preds[i]
-		t := pr.finish
-		if pr.proc != p {
-			t = rel[i]
-			for a, b := pr.proc, s.hop(pr.proc, p); a != p; a, b = b, s.hop(b, p) {
-				t += s.pl.CommTime(pr.data, a, b)
-			}
-		}
-		if t > ready {
-			ready = t
-		}
-	}
+	var ready [1]float64
+	cand := [1]int{p}
+	s.readyBounds(ready[:], cand[:], preds, rel)
 	dur = s.pl.ExecTime(w, p)
-	if last := s.compute[p].LastEnd(); last > ready {
-		if s.appendOnly {
-			ready = last
-		} else {
-			ready = s.compute[p].EarliestGap(ready, dur)
-		}
-	}
-	return ready, dur
-}
-
-// finishBound returns a lower bound on the finish a probe of a task of
-// weight w on processor p would return, without probing: earliestStart's
-// bound plus the execution time.
-func (s *state) finishBound(w float64, p int, preds []predInfo, rel []float64) float64 {
-	start, dur := s.earliestStart(w, p, preds, rel)
-	return start + dur
+	return s.startFrom(ready[0], dur, p), dur
 }
 
 // bestEFT returns the placement of task v with the earliest finish time
@@ -583,9 +612,11 @@ func (s *state) finishBound(w float64, p int, preds []predInfo, rel []float64) f
 // ties by the lowest candidate position — with ascending candidates that is
 // the lowest processor index, the paper's convention.
 //
-// It probes only the candidates that can win. finishBound bounds every
-// candidate's finish; the candidate with the smallest bound (ties by
-// position) is probed first, as the seed, and any other, in position
+// It probes only the candidates that can win. It bounds every candidate's
+// finish without probing — readyBounds for all of them at once, then
+// startFrom and the execution time, the bound earliestStart gives one
+// candidate — and the candidate with the smallest bound (ties by position)
+// is probed first, as the seed, and any other, in position
 // order, only while its bound can still beat the incumbent under
 // (finish, position). A candidate whose bound cannot beat the incumbent
 // cannot be the answer, so the result is exactly the placement the plain
@@ -603,10 +634,12 @@ func (s *state) bestEFT(v int, candidates []int) placement {
 	}
 	bounds := s.bounds[:n]
 	weight := s.g.Weight(v)
-	rel := s.senderReleases(preds)
+	s.readyBounds(bounds, candidates, preds, s.senderReleases(preds))
 	seed := 0
-	for j := range bounds {
-		bounds[j] = s.finishBound(weight, candidateAt(candidates, j), preds, rel)
+	for j, ready := range bounds {
+		p := candidateAt(candidates, j)
+		dur := s.pl.ExecTime(weight, p)
+		bounds[j] = s.startFrom(ready, dur, p) + dur
 		if bounds[j] < bounds[seed] {
 			seed = j
 		}

@@ -143,6 +143,11 @@ func (pl *Platform) CycleTimes() []float64 { return append([]float64(nil), pl.cy
 // +Inf when there is no direct wire.
 func (pl *Platform) Link(q, r int) float64 { return pl.link[q][r] }
 
+// LinkRow returns row q of the link matrix: LinkRow(q)[r] = link(q,r). It is
+// the platform's own storage, read-only, so a loop over the destinations of
+// one source reads a row instead of calling Link per pair.
+func (pl *Platform) LinkRow(q int) []float64 { return pl.link[q] }
+
 // Sparse reports whether some processor pair lacks a direct wire, in which
 // case communications must be routed (see Routes).
 func (pl *Platform) Sparse() bool { return pl.sparse }

@@ -322,3 +322,23 @@ func TestMinOut(t *testing.T) {
 		}
 	}
 }
+
+// TestLinkRow checks that row q of LinkRow agrees with Link(q, ·) on an
+// asymmetric matrix.
+func TestLinkRow(t *testing.T) {
+	pl, err := New([]float64{1, 1, 1}, [][]float64{{0, 3, 1}, {2, 0, 5}, {4, 4, 0}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for q := 0; q < pl.NumProcs(); q++ {
+		row := pl.LinkRow(q)
+		if len(row) != pl.NumProcs() {
+			t.Fatalf("LinkRow(%d) has %d entries, want %d", q, len(row), pl.NumProcs())
+		}
+		for r, c := range row {
+			if c != pl.Link(q, r) {
+				t.Errorf("LinkRow(%d)[%d] = %g, want Link = %g", q, r, c, pl.Link(q, r))
+			}
+		}
+	}
+}

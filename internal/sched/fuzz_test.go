@@ -1,11 +1,14 @@
 package sched
 
 import (
+	"math"
 	"testing"
 )
 
 // FuzzIntervalsAdd feeds arbitrary interval sequences into the timeline and
-// checks the structural invariants plus gap-search consistency. Run with
+// checks the structural invariants plus gap-search consistency: the result
+// is free, not before its start, and the single-timeline walk equals the
+// k-view walk bit for bit. Run with
 // `go test -fuzz FuzzIntervalsAdd ./internal/sched` for continuous fuzzing;
 // the seed corpus below runs as part of the normal suite.
 func FuzzIntervalsAdd(f *testing.F) {
@@ -35,6 +38,10 @@ func FuzzIntervalsAdd(f *testing.F) {
 			after = -after
 		}
 		got := s.EarliestGap(after, dur)
+		// the single-timeline walk must agree with the k-view walk
+		if kv := EarliestGap(after, dur, View{Base: &s}); math.Float64bits(got) != math.Float64bits(kv) {
+			t.Fatalf("EarliestGap(%g,%g) = %g, the k-view walk gives %g on %v", after, dur, got, kv, all)
+		}
 		if got < after {
 			t.Fatalf("EarliestGap(%g,%g) = %g before after", after, dur, got)
 		}

@@ -85,8 +85,28 @@ func (s *Intervals) Busy(t float64) bool {
 // EarliestGap returns the earliest time t >= after such that [t, t+dur) is
 // entirely free. This is the insertion ("gap") policy: holes between
 // existing busy periods are used when long enough.
+//
+// It is the single-timeline walk: a binary search for the first interval
+// ending after `after`, then one step per interval that starts before the
+// window ends. Intervals are sorted, disjoint and merged when touching, so
+// every interval after a conflict ends past the window's new start, and the
+// result is bit for bit the k-view walk's on View{Base: s}.
 func (s *Intervals) EarliestGap(after, dur float64) float64 {
-	return EarliestGap(after, dur, View{Base: s})
+	iv := s.iv
+	lo, hi := 0, len(iv)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if iv[m].End > after {
+			hi = m
+		} else {
+			lo = m + 1
+		}
+	}
+	t := after
+	for j := lo; j < len(iv) && iv[j].Start < t+dur; j++ {
+		t = iv[j].End
+	}
+	return t
 }
 
 // LastEnd returns the end of the last busy interval, or 0 when empty. It is

@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -280,6 +281,73 @@ func TestPropertyGapResultIsFree(t *testing.T) {
 		return true
 	}
 	if err := quick.Check(f, nil); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestPropertySingleTimelineWalk pins the single-timeline walk of
+// (*Intervals).EarliestGap to the k-view walk on the same timeline alone,
+// bit for bit. Timelines are random float intervals built with Add —
+// overlapping, touching (an add starting at an existing end) and nested
+// adds. Searches start before, inside, between and past the intervals, and
+// exactly at their ends, for zero and positive durations.
+func TestPropertySingleTimelineWalk(t *testing.T) {
+	f := func(seed int64) bool {
+		r := rand.New(rand.NewSource(seed))
+		var s Intervals
+		for i := 0; i < r.Intn(24); i++ {
+			start := r.Float64() * 100
+			end := start + r.Float64()*8
+			switch all := s.All(); {
+			case len(all) > 0 && r.Intn(4) == 0: // touch an existing end
+				start = all[r.Intn(len(all))].End
+				end = start + r.Float64()*8
+			case len(all) > 0 && r.Intn(4) == 0: // nest inside an interval
+				iv := all[r.Intn(len(all))]
+				start = iv.Start + (iv.End-iv.Start)*r.Float64()/2
+				end = start + (iv.End-start)*r.Float64()
+			}
+			s.Add(start, end)
+		}
+		all := s.All()
+		for trial := 0; trial < 40; trial++ {
+			var after float64
+			switch k := r.Intn(5); {
+			case k == 0 || len(all) == 0: // anywhere, before and past included
+				after = r.Float64()*130 - 15
+			case k == 1: // inside an interval
+				iv := all[r.Intn(len(all))]
+				after = iv.Start + (iv.End-iv.Start)*r.Float64()
+			case k == 2: // between two intervals
+				i := r.Intn(len(all))
+				next := all[i].End + 10
+				if i+1 < len(all) {
+					next = all[i+1].Start
+				}
+				after = all[i].End + (next-all[i].End)*r.Float64()
+			case k == 3: // exactly at an end or a start
+				iv := all[r.Intn(len(all))]
+				after = iv.End
+				if r.Intn(2) == 0 {
+					after = iv.Start
+				}
+			default: // past the last interval
+				after = s.LastEnd() + r.Float64()*5
+			}
+			dur := 0.0
+			if r.Intn(3) > 0 {
+				dur = r.Float64() * 12
+			}
+			got := s.EarliestGap(after, dur)
+			want := EarliestGap(after, dur, View{Base: &s})
+			if math.Float64bits(got) != math.Float64bits(want) {
+				t.Logf("seed=%d busy=%v after=%v dur=%v: single walk %v, k-view walk %v", seed, all, after, dur, got, want)
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Fatal(err)
 	}
 }
