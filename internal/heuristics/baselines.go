@@ -81,27 +81,12 @@ func cpopRun(g *graph.Graph, pl *platform.Platform, model sched.Model, tune *Tun
 			cpProc, best = q, sum
 		}
 	}
-
-	ready := newReadyList(prio)
-	rel := newReleaser(g)
-	for _, v := range rel.initial() {
-		ready.push(v)
-	}
-	for !ready.empty() {
-		v := ready.pop()
-		var best placement
+	for _, v := range listOrder(g, prio) {
 		if onCP[v] {
-			best = s.probe(v, cpProc, s.preds(v))
+			s.commit(v, s.probe(v, cpProc))
 		} else {
-			best = s.bestEFT(v, nil)
+			s.commit(v, s.bestEFT(v, nil))
 		}
-		s.commit(v, best)
-		for _, nv := range rel.release(v) {
-			ready.push(nv)
-		}
-	}
-	if !rel.done() {
-		return nil, graph.ErrCycle
 	}
 	return s.sch, nil
 }
@@ -223,42 +208,12 @@ func dlsRun(g *graph.Graph, pl *platform.Platform, model sched.Model, tune *Tuni
 // minimizing its earliest finish time, the adaptation matching how the
 // other list heuristics are ported to the one-port model.
 func BIL(g *graph.Graph, pl *platform.Platform, model sched.Model) (*sched.Schedule, error) {
-	return bilRun(g, pl, model, nil)
-}
-
-func bilRun(g *graph.Graph, pl *platform.Platform, model sched.Model, tune *Tuning) (*sched.Schedule, error) {
-	s, err := newState(g, pl, model, tune)
-	if err != nil {
-		return nil, err
-	}
-	defer tune.reclaim(s)
-	prio, err := bilPriorities(g, pl)
-	if err != nil {
-		return nil, err
-	}
-
-	ready := newReadyList(prio)
-	rel := newReleaser(g)
-	for _, v := range rel.initial() {
-		ready.push(v)
-	}
-	for !ready.empty() {
-		v := ready.pop()
-		s.commit(v, s.bestEFT(v, nil))
-		for _, nv := range rel.release(v) {
-			ready.push(nv)
-		}
-	}
-	if !rel.done() {
-		return nil, graph.ErrCycle
-	}
-	return s.sch, nil
+	return eftSchedule("bil", g, pl, model, nil)
 }
 
 // bilPriorities computes the BIL task priorities: the bottom-up imaginary
-// level matrix, reduced to max over processors per task. Shared by bilRun
-// and the incremental runner, which needs the priorities alone to simulate
-// BIL's commit order.
+// level matrix, reduced to max over processors per task: BIL's priorities
+// in eftRun.
 //
 // A successor s's cheapest move off processor q is the minimum over r != q
 // of BIL(s,r) + data·l̄. Letting r = q into that minimum changes no
@@ -342,23 +297,8 @@ func roundRobinRun(g *graph.Graph, pl *platform.Platform, model sched.Model, tun
 	if err != nil {
 		return nil, err
 	}
-	ready := newReadyList(prio)
-	rel := newReleaser(g)
-	for _, v := range rel.initial() {
-		ready.push(v)
-	}
-	next := 0
-	for !ready.empty() {
-		v := ready.pop()
-		pl0 := s.probe(v, next, s.preds(v))
-		s.commit(v, pl0)
-		next = (next + 1) % pl.NumProcs()
-		for _, nv := range rel.release(v) {
-			ready.push(nv)
-		}
-	}
-	if !rel.done() {
-		return nil, graph.ErrCycle
+	for i, v := range listOrder(g, prio) {
+		s.commit(v, s.probe(v, i%pl.NumProcs()))
 	}
 	return s.sch, nil
 }
@@ -380,21 +320,8 @@ func randomRun(g *graph.Graph, pl *platform.Platform, model sched.Model, seed in
 		return nil, err
 	}
 	r := rand.New(rand.NewSource(seed))
-	ready := newReadyList(prio)
-	rel := newReleaser(g)
-	for _, v := range rel.initial() {
-		ready.push(v)
-	}
-	for !ready.empty() {
-		v := ready.pop()
-		pl0 := s.probe(v, r.Intn(pl.NumProcs()), s.preds(v))
-		s.commit(v, pl0)
-		for _, nv := range rel.release(v) {
-			ready.push(nv)
-		}
-	}
-	if !rel.done() {
-		return nil, graph.ErrCycle
+	for _, v := range listOrder(g, prio) {
+		s.commit(v, s.probe(v, r.Intn(pl.NumProcs())))
 	}
 	return s.sch, nil
 }

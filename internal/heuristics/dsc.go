@@ -151,21 +151,8 @@ func dscRun(g *graph.Graph, pl *platform.Platform, model sched.Model, tune *Tuni
 	}
 
 	// phase 3: fixed-allocation list scheduling under the real model
-	ready := newReadyList(bl)
-	rel := newReleaser(g)
-	for _, v := range rel.initial() {
-		ready.push(v)
-	}
-	for !ready.empty() {
-		v := ready.pop()
-		plc := s.probe(v, clusterProc[cluster[v]], s.preds(v))
-		s.commit(v, plc)
-		for _, nv := range rel.release(v) {
-			ready.push(nv)
-		}
-	}
-	if !rel.done() {
-		return nil, graph.ErrCycle
+	for _, v := range listOrder(g, bl) {
+		s.commit(v, s.probe(v, clusterProc[cluster[v]]))
 	}
 	return s.sch, nil
 }
@@ -217,8 +204,7 @@ func ilhaLevelsRun(g *graph.Graph, pl *platform.Platform, model sched.Model, tun
 				rest = append(rest, v)
 				continue
 			}
-			plc := s.probe(v, proc, s.preds(v))
-			s.commit(v, plc)
+			s.commit(v, s.probe(v, proc))
 			load[proc] += g.Weight(v)
 		}
 		speedOrder := pl.ProcsBySpeed()
@@ -234,7 +220,7 @@ func ilhaLevelsRun(g *graph.Graph, pl *platform.Platform, model sched.Model, tun
 			}
 			var plc placement
 			if proc >= 0 {
-				plc = s.probe(v, proc, s.preds(v))
+				plc = s.probe(v, proc)
 			} else {
 				plc = s.bestEFT(v, nil)
 			}

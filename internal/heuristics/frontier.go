@@ -427,7 +427,7 @@ func (f *frontier) rebound(v, p int, preds []predInfo, rel []float64) float64 {
 // fastRefresh restores a staleCompute entry: the communication layout (and
 // with it the ready time and the read sets) is untouched, so only the final
 // compute-gap search reruns against the candidate's current timeline —
-// exactly the tail of probeWith, at a fraction of a probe's cost.
+// exactly the tail of a probe, at a fraction of a probe's cost.
 //
 // The bound follows the start when the two were equal: bound = start means
 // no compute gap opens between the ready bound and ready, and a timeline
@@ -587,7 +587,7 @@ func exactSums(hops []lastHop) bool {
 // dispose of.
 func (f *frontier) refresh(v, p int, preds []predInfo) placement {
 	b := f.s.buf()
-	pl := f.s.probeWith(b, v, p, preds)
+	pl, _ := f.s.probeAgainst(b, v, p, preds, nil, 0)
 	f.record(b, v, p, preds, pl)
 	return pl
 }
@@ -641,6 +641,5 @@ func (f *frontier) row(v int) []frontierEntry {
 // the state's probe scratch: commit (or copy) it before the next probe on
 // this state.
 func (f *frontier) placementFor(v, p int) placement {
-	s := f.s
-	return s.probe(v, p, s.preds(v))
+	return f.s.probe(v, p)
 }

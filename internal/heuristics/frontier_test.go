@@ -113,22 +113,40 @@ func TestDLSFrontierDeterminism(t *testing.T) {
 	}
 }
 
-// TestBILFrontierDeterminism is the same pin for BIL's level scan, which
-// runs on bestEFT: its rows are always fresh, so it has no engine.
+// TestBILFrontierDeterminism is the same pin for the static-order EFT
+// runner (eftRun), which has no engine: BIL, HEFT and HEFT-append must
+// match the original interleaved list loop (listReference) on every case.
+// The incremental oracle cannot stand in for this: its cold side is the
+// same runner.
 func TestBILFrontierDeterminism(t *testing.T) {
 	for _, c := range frontierCases() {
+		bl, err := priorities(c.g, c.pl)
+		if err != nil {
+			t.Fatal(err)
+		}
+		refs := []struct {
+			name       string
+			prio       []float64
+			appendOnly bool
+		}{
+			{"bil", bilPrioritiesReference(c.g, c.pl), false},
+			{"heft", bl, false},
+			{"heft-append", bl, true},
+		}
 		for _, model := range sched.Models() {
 			t.Run(fmt.Sprintf("%s/%s", c.name, model), func(t *testing.T) {
-				ref, err := bilReference(c.g, c.pl, model)
-				if err != nil {
-					t.Fatal(err)
-				}
-				got, err := bilRun(c.g, c.pl, model, nil)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if err := sameSchedule(ref, got); err != nil {
-					t.Fatal(err)
+				for _, r := range refs {
+					ref, err := listReference(c.g, c.pl, model, r.prio, r.appendOnly)
+					if err != nil {
+						t.Fatal(err)
+					}
+					got, err := eftSchedule(r.name, c.g, c.pl, model, nil)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if err := sameSchedule(ref, got); err != nil {
+						t.Fatalf("%s: %v", r.name, err)
+					}
 				}
 			})
 		}
@@ -252,7 +270,7 @@ func TestFrontierNeverServesStale(t *testing.T) {
 						preds := s.preds(v)
 						row := f.row(v)
 						for p := 0; p < np; p++ {
-							fresh := s.probeWith(check, v, p, preds)
+							fresh, _ := s.probeAgainst(check, v, p, preds, nil, 0)
 							finish := row[p].start + pl.ExecTime(g.Weight(v), p)
 							if row[p].start != fresh.start || finish != fresh.finish {
 								t.Fatalf("stale cache for task %d proc %d: cached (%g,%g), fresh (%g,%g)",
@@ -409,15 +427,15 @@ func TestFrontierBoundAnomaly(t *testing.T) {
 	}
 	fr := attachFrontier(s)
 	for _, x := range []struct{ task, proc int }{{a, 0}, {b, 1}, {c, 3}, {d, 2}} {
-		s.commit(x.task, s.probe(x.task, x.proc, s.preds(x.task)))
+		s.commit(x.task, s.probe(x.task, x.proc))
 	}
 	fr.ensure([]int{v})
 	e := &fr.row(v)[2]
 	if e.start != 109 {
 		t.Fatalf("start before the commit = %g, want 109", e.start)
 	}
-	s.commit(f, s.probe(f, 3, s.preds(f)))
-	fresh := s.probe(v, 2, s.preds(v))
+	s.commit(f, s.probe(f, 3))
+	fresh := s.probe(v, 2)
 	if fresh.start != 102 {
 		t.Fatalf("fresh start after the commit = %g, want 102", fresh.start)
 	}
@@ -494,7 +512,7 @@ func boundWalk(t *testing.T, g *graph.Graph, pl *platform.Platform, model sched.
 			}
 			row := f.row(v)
 			for p := 0; p < np; p++ {
-				fresh := s.probeWith(check, v, p, preds)
+				fresh, _ := s.probeAgainst(check, v, p, preds, nil, 0)
 				if start, dur := s.earliestStart(g.Weight(v), p, preds, rel); start+dur > fresh.finish {
 					t.Fatalf("task %d proc %d: finish bound %g above the fresh finish %g", v, p, start+dur, fresh.finish)
 				}
@@ -549,20 +567,20 @@ func boundWalk(t *testing.T, g *graph.Graph, pl *platform.Platform, model sched.
 // one-predecessor-at-a-time pass, and the bound earliestStart gives the
 // candidate alone, must equal the per-candidate bound the scan took before
 // (finishBoundReference) bit for bit. The same walks check the probe's cut
-// at the incumbent (checkCuts) on the random subsets. The par1 and par8
-// legs set the deprecated Tuning.ProbeParallelism to 1 and 8, which must
-// change nothing.
+// at the incumbent (checkCuts) on the random subsets. Each case walks two
+// seeds, one per leg; the legs keep the names par1 (seed 1) and par8
+// (seed 2) from when both walked both seeds at two probe parallelisms, so
+// that the subtest IDs stay stable.
 func TestBestEFTMatchesReference(t *testing.T) {
 	var n eftCounts
 	for _, c := range boundPlatforms(t) {
 		for _, model := range sched.Models() {
 			for _, appendOnly := range []bool{false, true} {
-				for _, par := range []int{1, 8} {
-					t.Run(fmt.Sprintf("%s/%s/append=%v/par%d", c.name, model, appendOnly, par), func(t *testing.T) {
-						for seed := int64(1); seed <= 2; seed++ {
-							g := testbeds.RandomLayered(seed, 8, 8, 10, 10)
-							eftWalk(t, g, c.pl, model, appendOnly, par, rand.New(rand.NewSource(seed)), &n)
-						}
+				for i, leg := range []string{"par1", "par8"} {
+					seed := int64(i + 1)
+					t.Run(fmt.Sprintf("%s/%s/append=%v/%s", c.name, model, appendOnly, leg), func(t *testing.T) {
+						g := testbeds.RandomLayered(seed, 8, 8, 10, 10)
+						eftWalk(t, g, c.pl, model, appendOnly, rand.New(rand.NewSource(seed)), &n)
 					})
 				}
 			}
@@ -586,9 +604,9 @@ type eftCounts struct {
 
 // eftWalk runs one randomized commit walk for TestBestEFTMatchesReference,
 // adding what it compared to n.
-func eftWalk(t *testing.T, g *graph.Graph, pl *platform.Platform, model sched.Model, appendOnly bool, par int, rng *rand.Rand, n *eftCounts) {
+func eftWalk(t *testing.T, g *graph.Graph, pl *platform.Platform, model sched.Model, appendOnly bool, rng *rand.Rand, n *eftCounts) {
 	t.Helper()
-	s, err := newState(g, pl, model, &Tuning{ProbeParallelism: par})
+	s, err := newState(g, pl, model, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -619,7 +637,7 @@ func eftWalk(t *testing.T, g *graph.Graph, pl *platform.Platform, model sched.Mo
 		i := rng.Intn(len(ready))
 		v := ready[i]
 		ready = append(ready[:i], ready[i+1:]...)
-		s.commit(v, s.probe(v, rng.Intn(np), s.preds(v)))
+		s.commit(v, s.probe(v, rng.Intn(np)))
 		ready = append(ready, rel.release(v)...)
 	}
 }
@@ -667,7 +685,8 @@ func checkCuts(t *testing.T, s *state, b *probeBuf, v int, cands []int, rng *ran
 	fulls := make([]placement, m)
 	for j := range fulls {
 		var keep []sched.CommEvent
-		fulls[j] = stashPlacement(&keep, s.probeWith(b, v, candidateAt(cands, j), preds))
+		full, _ := s.probeAgainst(b, v, candidateAt(cands, j), preds, nil, 0)
+		fulls[j] = stashPlacement(&keep, full)
 	}
 	for j := 0; j < m; j++ {
 		k := rng.Intn(m - 1)
@@ -751,8 +770,8 @@ func TestFrontierSharedPathInvalidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	f := attachFrontier(s)
-	s.commit(a, s.probe(a, 0, s.preds(a)))
-	s.commit(b, s.probe(b, 3, s.preds(b)))
+	s.commit(a, s.probe(a, 0))
+	s.commit(b, s.probe(b, 3))
 
 	f.ensure([]int{u, y})
 	// (u, P3) read P0,P1,P2,P3 (full route from a on P0); (u, P0) read P0
@@ -775,7 +794,7 @@ func TestFrontierSharedPathInvalidation(t *testing.T) {
 	// that sees y's port traffic
 	f.ensure([]int{u})
 	check := newProbeBuf(pl.NumProcs())
-	fresh := s.probeWith(check, u, 3, s.preds(u))
+	fresh, _ := s.probeAgainst(check, u, 3, s.preds(u), nil, 0)
 	if got := f.row(u)[3]; got.start != fresh.start || got.ready != fresh.ready {
 		t.Fatalf("revalidated entry (start %g, ready %g) differs from fresh probe (%g, %g)",
 			got.start, got.ready, fresh.start, fresh.ready)
@@ -810,7 +829,7 @@ func TestFrontierScratchReuse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantBIL, err := bilReference(lu, paper, sched.OnePort)
+	wantBIL, err := listReference(lu, paper, sched.OnePort, bilPrioritiesReference(lu, paper), false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -835,7 +854,7 @@ func TestFrontierScratchReuse(t *testing.T) {
 		if err := sameSchedule(wantFJ, got); err != nil {
 			t.Fatalf("rep %d DLS fj/small: %v", rep, err)
 		}
-		got, err = bilRun(lu, paper, sched.OnePort, tune)
+		got, err = eftSchedule("bil", lu, paper, sched.OnePort, tune)
 		if err != nil {
 			t.Fatal(err)
 		}

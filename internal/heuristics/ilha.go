@@ -154,8 +154,7 @@ func scheduleChunk(s *state, chunk []int, opts ILHAOptions) map[int]int {
 			remaining = append(remaining, v)
 			continue
 		}
-		pl := s.probe(v, proc, s.preds(v))
-		s.commit(v, pl)
+		s.commit(v, s.probe(v, proc))
 		load[proc] += s.g.Weight(v)
 		alloc[v] = proc
 	}
@@ -220,7 +219,6 @@ func dominantPredProc(s *state, v int) (proc, comms int) {
 // recomputed greedily in priority order. This is the "third step" of §4.4.
 func rescheduleChunk(s *state, chunk []int, alloc map[int]int) {
 	for _, v := range chunk {
-		pl := s.probe(v, alloc[v], s.preds(v))
-		s.commit(v, pl)
+		s.commit(v, s.probe(v, alloc[v]))
 	}
 }

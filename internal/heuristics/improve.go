@@ -41,21 +41,8 @@ func FixedAlloc(g *graph.Graph, pl *platform.Platform, model sched.Model, alloc 
 	} else if len(prio) != g.NumNodes() {
 		return nil, fmt.Errorf("heuristics: prio has %d entries, graph has %d tasks", len(prio), g.NumNodes())
 	}
-	ready := newReadyList(prio)
-	rel := newReleaser(g)
-	for _, v := range rel.initial() {
-		ready.push(v)
-	}
-	for !ready.empty() {
-		v := ready.pop()
-		plc := s.probe(v, alloc[v], s.preds(v))
-		s.commit(v, plc)
-		for _, nv := range rel.release(v) {
-			ready.push(nv)
-		}
-	}
-	if !rel.done() {
-		return nil, graph.ErrCycle
+	for _, v := range listOrder(g, prio) {
+		s.commit(v, s.probe(v, alloc[v]))
 	}
 	return s.sch, nil
 }

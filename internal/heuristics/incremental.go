@@ -1,8 +1,6 @@
 package heuristics
 
 import (
-	"fmt"
-
 	"oneport/internal/graph"
 	"oneport/internal/platform"
 	"oneport/internal/sched"
@@ -16,17 +14,17 @@ import (
 // HEFT/PCT (bottom levels), HEFT-append, and BIL (imaginary levels) — the
 // COMMIT ORDER is a pure function of (graph, priorities): the ready list
 // pops by (priority desc, id asc) and the releaser tracks in-degrees, none
-// of which depend on where tasks were placed. The order can therefore be
-// simulated without a single probe. A task's PLACEMENT, in turn, is a pure
-// function of its own probe inputs (weight, incoming edges, platform) and
-// the committed timelines, which are determined by the placements before
-// it. So after a delta, the longest prefix of the new commit order that
-// (a) matches the previous order position by position and (b) contains no
-// task whose own probe inputs the delta touched, commits to placements
-// byte-identical to the previous run's — by induction over commits — and
-// can be replayed verbatim from the recorded schedule, rebuilding the
-// timelines without probing. Only the suffix runs the real probe loop, on
-// warm state.
+// of which depend on where tasks were placed. The order is therefore
+// computed without a single probe (listOrder). A task's PLACEMENT, in
+// turn, is a pure function of its own probe inputs (weight, incoming
+// edges, platform) and the committed timelines, which are determined by
+// the placements before it. So after a delta, the longest prefix of the
+// new commit order that (a) matches the previous order position by
+// position and (b) contains no task whose own probe inputs the delta
+// touched, commits to placements byte-identical to the previous run's —
+// by induction over commits — and can be replayed verbatim from the
+// recorded schedule, rebuilding the timelines without probing. Only the
+// suffix runs the real probe loop, on warm state.
 //
 // "Rollback" is deliberately implemented as replay-forward: committed
 // Intervals merge adjacent reservations, so un-committing is not defined —
@@ -35,11 +33,12 @@ import (
 // every communication model (commit applies the same recorded hops the
 // cold run would re-derive).
 //
-// Dynamic-selection heuristics (DLS picks the next task from live probe
-// scores; CPOP pins a globally-chosen critical path; ILHA/DSC build
-// chunks/clusters from global structure) have no placement-independent
-// order, so they fall back to a full recompute — still on the warm Scratch,
-// just without a replayed prefix.
+// The other heuristics fall back to a full recompute — still on the warm
+// Scratch, just without a replayed prefix. DLS picks the next task from
+// live probe scores and ILHA pops chunks, so neither has a
+// placement-independent order; CPOP and DSC commit in listOrder but place
+// by global structure (the critical path and its processor, the
+// clusters), which a delta anywhere can change.
 
 // PrevRun carries what the previous run of a session recorded: the commit
 // order and the resulting schedule. Both are owned by the caller and only
@@ -83,9 +82,11 @@ func SupportsIncremental(name string) bool {
 //
 // The result is byte-identical to a cold run of the same heuristic on
 // (g, pl, model): the replayed prefix is byte-identical by the induction
-// above, and the suffix runs the heuristic's own probe loop on identical
-// committed state. Cancellation mirrors ByNameTuned: an expired Tuning.Ctx
-// surfaces as an error satisfying errors.Is(err, ErrCanceled).
+// above, and the suffix is placed by the same bestEFT loop on identical
+// committed state, because a cold run of these heuristics is the same
+// runner (eftRun) with no previous run. Cancellation mirrors ByNameTuned:
+// an expired Tuning.Ctx surfaces as an error satisfying
+// errors.Is(err, ErrCanceled).
 func RunIncremental(name string, g *graph.Graph, pl *platform.Platform, model sched.Model, opts ILHAOptions, tune *Tuning, prev *PrevRun, dirty []bool) (res *IncResult, err error) {
 	if !SupportsIncremental(name) {
 		f, err := ByNameTuned(name, opts, tune)
@@ -98,91 +99,9 @@ func RunIncremental(name string, g *graph.Graph, pl *platform.Platform, model sc
 		}
 		return &IncResult{Schedule: sch}, nil
 	}
-	// the same cancellation boundary as ByNameTuned: commit raises a
-	// runCanceled panic when Tuning.Ctx expires (including during replay —
-	// replay commits pass the same cancellation point)
-	defer func() {
-		if r := recover(); r != nil {
-			rc, ok := r.(runCanceled)
-			if !ok {
-				panic(r)
-			}
-			res, err = nil, fmt.Errorf("%w: %v", ErrCanceled, rc.err)
-		}
-	}()
-	var prio []float64
-	switch name {
-	case "bil":
-		prio, err = bilPriorities(g, pl)
-	default:
-		prio, err = priorities(g, pl)
-	}
-	if err != nil {
-		return nil, err
-	}
-	s, err := newState(g, pl, model, tune)
-	if err != nil {
-		return nil, err
-	}
-	defer tune.reclaim(s)
-	s.appendOnly = name == "heft-append"
-
-	order, err := simulateOrder(g, prio)
-	if err != nil {
-		return nil, err
-	}
-	keep := validPrefix(order, prev, pl.NumProcs(), dirty)
-
-	// replay: the previous run's comm events are recorded in commit order,
-	// each commit's events grouped consecutively under ToTask = the
-	// committed task, so the prefix consumes a prefix of prev Comms with a
-	// single forward cursor. commit re-reserves the recorded hops on the
-	// fresh timelines and copies them into this schedule.
-	cur := 0
-	for k := 0; k < keep; k++ {
-		v := order[k]
-		ev := &prev.Schedule.Tasks[v]
-		lo := cur
-		for cur < len(prev.Schedule.Comms) && prev.Schedule.Comms[cur].ToTask == v {
-			cur++
-		}
-		s.commit(v, placement{
-			proc:   ev.Proc,
-			ready:  ev.Start,
-			start:  ev.Start,
-			finish: ev.Finish,
-			comms:  prev.Schedule.Comms[lo:cur],
-		})
-	}
-	// suffix: the heuristic's own probe loop; the simulated order already is
-	// the exact pop sequence, so no ready list is needed
-	for _, v := range order[keep:] {
-		s.commit(v, s.bestEFT(v, nil))
-	}
-	return &IncResult{Schedule: s.sch, Order: order, Replayed: keep}, nil
-}
-
-// simulateOrder runs the ready-list/releaser machinery of the static
-// list-scheduling loop without probing or committing, returning the exact
-// pop sequence the real loop produces for these priorities.
-func simulateOrder(g *graph.Graph, prio []float64) ([]int, error) {
-	ready := newReadyList(prio)
-	rel := newReleaser(g)
-	for _, v := range rel.initial() {
-		ready.push(v)
-	}
-	order := make([]int, 0, g.NumNodes())
-	for !ready.empty() {
-		v := ready.pop()
-		order = append(order, v)
-		for _, nv := range rel.release(v) {
-			ready.push(nv)
-		}
-	}
-	if !rel.done() {
-		return nil, graph.ErrCycle
-	}
-	return order, nil
+	// replay commits pass the same cancellation point as probed ones
+	defer recoverCanceled(&err)
+	return eftRun(name, g, pl, model, tune, prev, dirty)
 }
 
 // validPrefix returns the number of leading commits of order that can be

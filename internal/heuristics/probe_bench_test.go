@@ -53,7 +53,7 @@ func BenchmarkProbeMicro(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s.probeWith(buf, target, i%s.pl.NumProcs(), preds)
+		s.probeAgainst(buf, target, i%s.pl.NumProcs(), preds, nil, 0)
 	}
 }
 

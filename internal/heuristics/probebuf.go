@@ -5,9 +5,8 @@ import (
 )
 
 // probeBuf owns every piece of scratch memory one probe needs: the tentative
-// overlay reservations (flat slices indexed by processor, replacing the old
-// per-probe maps), the gap-search cursors into the committed timelines, and
-// the comm-event/hop storage of the placement being built. A state keeps one
+// overlay reservations (flat slices indexed by processor) and the
+// comm-event/hop storage of the placement being built. A state keeps one
 // probeBuf; it is reset — never reallocated — between probes, so the
 // steady-state probe path performs no allocation.
 //
@@ -20,14 +19,6 @@ type probeBuf struct {
 	// by start (sched.AddExtra); emptied via the touched lists below
 	send, recv, compute    [][]sched.Interval
 	sendT, recvT, computeT []int // processors with a non-empty overlay
-
-	// gap-search cursors into the committed timelines. Cursors are only
-	// meaningful within one probe (commits mutate the timelines between
-	// probes), so instead of walking and invalidating them on reset, each
-	// carries the generation it was last used in and is lazily invalidated
-	// on first use in a newer generation.
-	sendCur, recvCur, computeCur []gapCursor
-	gen                          uint64
 
 	// wire overlays (LinkContention only): a short linear list of slots,
 	// reused — with their interval storage — across probes
@@ -58,12 +49,6 @@ type probeBuf struct {
 	probes, msgs int
 }
 
-// gapCursor pairs a sched.Cursor with the probe generation it belongs to.
-type gapCursor struct {
-	c   sched.Cursor
-	gen uint64
-}
-
 // wireSlot is one wire's tentative reservations during a probe.
 type wireSlot struct {
 	key [2]int
@@ -73,16 +58,13 @@ type wireSlot struct {
 // newProbeBuf sizes a buf for a platform with p processors.
 func newProbeBuf(p int) *probeBuf {
 	return &probeBuf{
-		send:       make([][]sched.Interval, p),
-		recv:       make([][]sched.Interval, p),
-		compute:    make([][]sched.Interval, p),
-		sendCur:    make([]gapCursor, p),
-		recvCur:    make([]gapCursor, p),
-		computeCur: make([]gapCursor, p),
+		send:    make([][]sched.Interval, p),
+		recv:    make([][]sched.Interval, p),
+		compute: make([][]sched.Interval, p),
 	}
 }
 
-// reset clears the overlays, cursors, wires and comm events, retaining all
+// reset clears the overlays, wires and comm events, retaining all
 // capacity. It is O(resources touched by the previous probe).
 func (b *probeBuf) reset() {
 	for _, p := range b.sendT {
@@ -95,22 +77,10 @@ func (b *probeBuf) reset() {
 		b.compute[p] = b.compute[p][:0]
 	}
 	b.sendT, b.recvT, b.computeT = b.sendT[:0], b.recvT[:0], b.computeT[:0]
-	b.gen++ // lazily invalidates every cursor
 	b.nw = 0
 	b.comms = b.comms[:0]
 	b.alone = b.alone[:0]
 	b.anyMoved = false
-}
-
-// cur returns the sched.Cursor for cs[p], invalidating it first if it was
-// last used by an earlier probe.
-func (b *probeBuf) cur(cs []gapCursor, p int) *sched.Cursor {
-	gc := &cs[p]
-	if gc.gen != b.gen {
-		gc.gen = b.gen
-		gc.c.Invalidate()
-	}
-	return &gc.c
 }
 
 func (b *probeBuf) addSend(p int, start, end float64) {

@@ -10,12 +10,13 @@ import (
 	"oneport/internal/sched"
 )
 
-// This file preserves the pre-frontier-engine implementations of DLS, BIL
-// and the Exhaustive search verbatim (modulo renamed ready-list plumbing) as
-// test oracles, together with CPOP, the plain earliest-finish scan that
-// the bound-seeded bestEFT replaced and the per-candidate finish bound its
-// one-predecessor-at-a-time bound pass replaced: the engine-backed and pruned
-// implementations must produce byte-identical schedules, and the
+// This file preserves the pre-frontier-engine implementations of DLS, the
+// static-order list loop (HEFT, HEFT-append, BIL) and the Exhaustive
+// search verbatim (modulo renamed ready-list plumbing) as test oracles,
+// together with CPOP, the plain earliest-finish scan that the bound-seeded
+// bestEFT replaced and the per-candidate finish bound its
+// one-predecessor-at-a-time bound pass replaced: the engine-backed and
+// pruned implementations must produce byte-identical schedules, and the
 // *_Reference benchmarks in frontier_bench_test.go keep the before/after
 // performance ratio visible. One deliberate deviation: the
 // pre-engine Exhaustive could report completion after a mid-search budget
@@ -51,9 +52,8 @@ func dlsReference(g *graph.Graph, pl *platform.Platform, model sched.Model) (*sc
 		}
 		sort.Ints(ids)
 		for _, v := range ids {
-			preds := s.preds(v)
 			for q := 0; q < pl.NumProcs(); q++ {
-				cand := s.probe(v, q, preds)
+				cand := s.probe(v, q)
 				delta := g.Weight(v)*ef - pl.ExecTime(g.Weight(v), q)
 				dl := sl[v] - cand.start + delta
 				if dl > bestDL {
@@ -78,7 +78,6 @@ func dlsReference(g *graph.Graph, pl *platform.Platform, model sched.Model) (*sc
 // strictly earliest finish kept — no bounds, no skipping, no fan-out. The
 // placement's comms live in the state's stash, valid until its next stash.
 func bestEFTReference(s *state, v int, candidates []int) placement {
-	preds := s.preds(v)
 	n := len(candidates)
 	if candidates == nil {
 		n = s.pl.NumProcs()
@@ -89,7 +88,7 @@ func bestEFTReference(s *state, v int, candidates []int) placement {
 		if candidates != nil {
 			p = candidates[j]
 		}
-		pl := s.probe(v, p, preds)
+		pl := s.probe(v, p)
 		if best.proc == -1 || pl.finish < best.finish {
 			best = s.stash(pl)
 		}
@@ -129,58 +128,18 @@ func finishBoundReference(s *state, w float64, p int, preds []predInfo, rel []fl
 	return ready + dur
 }
 
-// bilReference is the original BIL loop: level computation plus a plain
-// sequential earliest-finish scan per popped task.
-func bilReference(g *graph.Graph, pl *platform.Platform, model sched.Model) (*sched.Schedule, error) {
+// listReference is the original static-order list loop: the ready list
+// and the releaser interleaved with the commits, each popped task placed
+// by the plain earliest-finish scan (bestEFTReference), by insertion or,
+// with appendOnly, after its processor's last reservation. Bottom levels
+// make it HEFT and HEFT-append, and BIL's levels (bilPrioritiesReference)
+// the original BIL loop.
+func listReference(g *graph.Graph, pl *platform.Platform, model sched.Model, prio []float64, appendOnly bool) (*sched.Schedule, error) {
 	s, err := newState(g, pl, model, nil)
 	if err != nil {
 		return nil, err
 	}
-	order, err := g.TopoOrder()
-	if err != nil {
-		return nil, err
-	}
-	p := pl.NumProcs()
-	lbar := pl.AvgLinkFactor()
-	bil := make([][]float64, g.NumNodes())
-	for i := len(order) - 1; i >= 0; i-- {
-		v := order[i]
-		bil[v] = make([]float64, p)
-		for q := 0; q < p; q++ {
-			maxSucc := 0.0
-			for _, a := range g.Succ(v) {
-				stay := bil[a.Node][q]
-				move := math.Inf(1)
-				for r := 0; r < p; r++ {
-					if r == q {
-						continue
-					}
-					if c := bil[a.Node][r] + a.Data*lbar; c < move {
-						move = c
-					}
-				}
-				best := stay
-				if move < best {
-					best = move
-				}
-				if best > maxSucc {
-					maxSucc = best
-				}
-			}
-			bil[v][q] = pl.ExecTime(g.Weight(v), q) + maxSucc
-		}
-	}
-	prio := make([]float64, g.NumNodes())
-	for v := range prio {
-		m := math.Inf(-1)
-		for q := 0; q < p; q++ {
-			if bil[v][q] > m {
-				m = bil[v][q]
-			}
-		}
-		prio[v] = m
-	}
-
+	s.appendOnly = appendOnly
 	ready := newReadyList(prio)
 	rel := newReleaser(g)
 	for _, v := range rel.initial() {
@@ -249,9 +208,8 @@ func exhaustiveReference(g *graph.Graph, pl *platform.Platform, model sched.Mode
 			return
 		}
 		for ri, v := range ready {
-			preds := st.preds(v)
 			for q := 0; q < pl.NumProcs(); q++ {
-				plc := st.probe(v, q, preds)
+				plc := st.probe(v, q)
 				if plc.start+blw[v] >= bestSpan {
 					continue
 				}
@@ -352,7 +310,7 @@ func cpopReference(g *graph.Graph, pl *platform.Platform, model sched.Model) (*s
 		v := ready.pop()
 		var pl0 placement
 		if onCP[v] {
-			pl0 = s.probe(v, cpProc, s.preds(v))
+			pl0 = s.probe(v, cpProc)
 		} else {
 			pl0 = bestEFTReference(s, v, nil)
 		}

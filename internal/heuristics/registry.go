@@ -26,31 +26,14 @@ func ByName(name string, opts ILHAOptions) (Func, error) {
 func ByNameTuned(name string, opts ILHAOptions, tune *Tuning) (Func, error) {
 	run := func(f func(*graph.Graph, *platform.Platform, sched.Model, *Tuning) (*sched.Schedule, error)) Func {
 		return func(g *graph.Graph, pl *platform.Platform, m sched.Model) (sch *sched.Schedule, err error) {
-			// ByNameTuned is the boundary where a Tuning.Ctx expiry —
-			// raised as a runCanceled panic at the commit cancellation
-			// point — becomes an ordinary ErrCanceled error. Any other
-			// panic keeps propagating: the service's compute recovery owns
-			// those.
-			defer func() {
-				if r := recover(); r != nil {
-					rc, ok := r.(runCanceled)
-					if !ok {
-						panic(r)
-					}
-					sch, err = nil, fmt.Errorf("%w: %v", ErrCanceled, rc.err)
-				}
-			}()
+			defer recoverCanceled(&err)
 			return f(g, pl, m, tune)
 		}
 	}
 	switch name {
-	case "heft", "pct": // PCT's port is structurally HEFT; see its doc comment
+	case "heft", "heft-append", "bil", "pct": // eftRun's heuristics; PCT's port is structurally HEFT (see its doc comment)
 		return run(func(g *graph.Graph, pl *platform.Platform, m sched.Model, t *Tuning) (*sched.Schedule, error) {
-			return heftRun(g, pl, m, false, t)
-		}), nil
-	case "heft-append":
-		return run(func(g *graph.Graph, pl *platform.Platform, m sched.Model, t *Tuning) (*sched.Schedule, error) {
-			return heftRun(g, pl, m, true, t)
+			return eftSchedule(name, g, pl, m, t)
 		}), nil
 	case "dsc":
 		return run(dscRun), nil
@@ -64,8 +47,6 @@ func ByNameTuned(name string, opts ILHAOptions, tune *Tuning) (Func, error) {
 		return run(cpopRun), nil
 	case "dls", "gdl":
 		return run(dlsRun), nil
-	case "bil":
-		return run(bilRun), nil
 	case "roundrobin":
 		return run(roundRobinRun), nil
 	case "random":

@@ -246,25 +246,25 @@ func (s *state) placeComm(b *probeBuf, u, v int, data float64, q, r int, ready f
 		switch s.model {
 		case sched.OnePort:
 			start, from = sched.EarliestGapMoved(t, dur,
-				sched.View{Base: &s.send[pa], Extra: b.send[pa], Cur: b.cur(b.sendCur, pa)},
-				sched.View{Base: &s.recv[pb], Extra: b.recv[pb], Cur: b.cur(b.recvCur, pb)})
+				sched.View{Base: &s.send[pa], Extra: b.send[pa]},
+				sched.View{Base: &s.recv[pb], Extra: b.recv[pb]})
 			b.addSend(pa, start, start+dur)
 			b.addRecv(pb, start, start+dur)
 		case sched.UniPort:
 			// a single half-duplex port per processor: every hop occupies
 			// the (combined) port of both endpoints, stored in send[].
 			start, from = sched.EarliestGapMoved(t, dur,
-				sched.View{Base: &s.send[pa], Extra: b.send[pa], Cur: b.cur(b.sendCur, pa)},
-				sched.View{Base: &s.send[pb], Extra: b.send[pb], Cur: b.cur(b.sendCur, pb)})
+				sched.View{Base: &s.send[pa], Extra: b.send[pa]},
+				sched.View{Base: &s.send[pb], Extra: b.send[pb]})
 			b.addSend(pa, start, start+dur)
 			b.addSend(pb, start, start+dur)
 		case sched.OnePortNoOverlap:
 			// one-port rules and the hop blocks computation on both ends
 			start, from = sched.EarliestGapMoved(t, dur,
-				sched.View{Base: &s.send[pa], Extra: b.send[pa], Cur: b.cur(b.sendCur, pa)},
-				sched.View{Base: &s.recv[pb], Extra: b.recv[pb], Cur: b.cur(b.recvCur, pb)},
-				sched.View{Base: &s.compute[pa], Extra: b.compute[pa], Cur: b.cur(b.computeCur, pa)},
-				sched.View{Base: &s.compute[pb], Extra: b.compute[pb], Cur: b.cur(b.computeCur, pb)})
+				sched.View{Base: &s.send[pa], Extra: b.send[pa]},
+				sched.View{Base: &s.recv[pb], Extra: b.recv[pb]},
+				sched.View{Base: &s.compute[pa], Extra: b.compute[pa]},
+				sched.View{Base: &s.compute[pb], Extra: b.compute[pb]})
 			b.addSend(pa, start, start+dur)
 			b.addRecv(pb, start, start+dur)
 			b.addCompute(pa, start, start+dur)
@@ -348,31 +348,30 @@ func predLess(a, b predInfo) bool {
 	return a.node < b.node
 }
 
-// probe computes the placement of task v on processor proc using the
-// state's probe buffer. See probeWith for the contract.
-func (s *state) probe(v, proc int, preds []predInfo) placement {
-	return s.probeWith(s.buf(), v, proc, preds)
-}
-
-// probeWith computes the full placement of task v on processor proc: it
-// tentatively schedules every incoming communication as early as possible
-// (in pred finish-time order, honouring the one-port constraint when the
-// model asks for it) and then finds the earliest compute gap. Nothing is
-// committed; all tentative reservations live in b, and the returned
-// placement's comms point into b (valid until b's next probe).
-func (s *state) probeWith(b *probeBuf, v, proc int, preds []predInfo) placement {
-	pl, _ := s.probeAgainst(b, v, proc, preds, nil, 0)
+// probe computes the full placement of task v on processor proc with the
+// state's probe buffer: the entry point of every placement on a fixed
+// processor. See probeAgainst for the contract.
+func (s *state) probe(v, proc int) placement {
+	pl, _ := s.probeAgainst(s.buf(), v, proc, s.preds(v), nil, 0)
 	return pl
 }
 
-// probeAgainst is probeWith for the candidate at position j of an EFT scan
-// whose best placement so far is inc. After each predecessor, and again
-// after the append-only horizon, it stops once ready + dur can no longer
-// beat inc under (finish, position) and reports the probe cut, skipping
-// the remaining messages and the compute gap search; a cut probe's
-// placement is empty. The cut is exact — ready only grows, the gap search
-// never returns a time before its start, and fl(a+d) ≤ fl(b+d) when a ≤ b —
-// so a cut probe could not have won. A nil inc never cuts.
+// probeAgainst computes the full placement of task v on processor proc,
+// given v's placed predecessors preds: it tentatively schedules every
+// incoming communication as early as possible (in pred finish-time order,
+// honouring the one-port constraint when the model asks for it) and then
+// finds the earliest compute gap. Nothing is committed; all tentative
+// reservations live in b, and the returned placement's comms point into b
+// (valid until b's next probe).
+//
+// With a non-nil inc, the best placement so far of an EFT scan in which
+// proc is the candidate at position j, the probe stops after each
+// predecessor, and again after the append-only horizon, once ready + dur
+// can no longer beat inc under (finish, position), and reports itself
+// cut, skipping the remaining messages and the compute gap search; a cut
+// probe's placement is empty. The cut is exact — ready only grows, the gap
+// search never returns a time before its start, and fl(a+d) ≤ fl(b+d) when
+// a ≤ b — so a cut probe could not have won. A nil inc never cuts.
 func (s *state) probeAgainst(b *probeBuf, v, proc int, preds []predInfo, inc *incumbent, j int) (pl placement, cut bool) {
 	b.reset()
 	b.probes++
@@ -404,8 +403,7 @@ func (s *state) probeAgainst(b *probeBuf, v, proc int, preds []predInfo, inc *in
 	if len(b.compute[proc]) == 0 {
 		start = s.compute[proc].EarliestGap(ready, dur)
 	} else {
-		start = sched.EarliestGap(ready, dur,
-			sched.View{Base: &s.compute[proc], Extra: b.compute[proc], Cur: b.cur(b.computeCur, proc)})
+		start = sched.EarliestGap(ready, dur, sched.View{Base: &s.compute[proc], Extra: b.compute[proc]})
 	}
 	return placement{proc: proc, ready: commReady, start: start, finish: start + dur, comms: b.comms}, false
 }
@@ -645,7 +643,8 @@ func (s *state) bestEFT(v int, candidates []int) placement {
 		}
 	}
 	b := s.buf()
-	best := incumbent{pl: s.probeWith(b, v, candidateAt(candidates, seed), preds), pos: seed}
+	seedPl, _ := s.probeAgainst(b, v, candidateAt(candidates, seed), preds, nil, seed)
+	best := incumbent{pl: seedPl, pos: seed}
 	stashed := false // the seed's comms may stay in probe scratch while no probe follows
 	for j, bd := range bounds {
 		if j == seed || !best.beatenBy(bd, j) {
@@ -667,6 +666,30 @@ func (s *state) bestEFT(v int, candidates []int) placement {
 // cost (§4.1).
 func priorities(g *graph.Graph, pl *platform.Platform) ([]float64, error) {
 	return g.BottomLevels(pl.AvgExecFactor(), pl.AvgLinkFactor())
+}
+
+// listOrder returns the commit order of the static-priority list
+// scheduler: the ready list pops the highest priority, ties by the lower
+// task id, and a task becomes ready once its last predecessor is
+// committed. The order depends on the graph and the priorities alone,
+// never on placements, so every static-order heuristic computes it first
+// and then commits its tasks in it. g must be acyclic (newState validated
+// it).
+func listOrder(g *graph.Graph, prio []float64) []int {
+	ready := newReadyList(prio)
+	rel := newReleaser(g)
+	for _, v := range rel.initial() {
+		ready.push(v)
+	}
+	order := make([]int, 0, g.NumNodes())
+	for !ready.empty() {
+		v := ready.pop()
+		order = append(order, v)
+		for _, nv := range rel.release(v) {
+			ready.push(nv)
+		}
+	}
+	return order
 }
 
 // readyList maintains the set of ready tasks ordered by decreasing priority

@@ -157,11 +157,11 @@ func TestStateCloneIndependence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plc := s.probe(u, 0, nil)
+	plc := s.probe(u, 0)
 	s.commit(u, plc)
 	c := s.clone()
 	// schedule v remotely on the clone: real state must stay untouched
-	plc2 := c.probe(v, 1, c.preds(v))
+	plc2 := c.probe(v, 1)
 	c.commit(v, plc2)
 	if s.sch.Tasks[v].Done {
 		t.Fatal("clone mutation leaked into original schedule")

@@ -3,6 +3,7 @@ package heuristics
 import (
 	"context"
 	"errors"
+	"fmt"
 )
 
 // ErrCanceled marks a run aborted because its Tuning.Ctx expired (deadline
@@ -11,10 +12,24 @@ import (
 var ErrCanceled = errors.New("heuristics: run canceled")
 
 // runCanceled carries a context expiry from state.commit — the per-task
-// cancellation point — up to the ByNameTuned boundary, where it is
-// recovered into an ErrCanceled error. It is a distinct type so genuine
-// probe-code panics are never mistaken for cancellations.
+// cancellation point — up to the entry point (ByNameTuned's Funcs,
+// RunIncremental), where recoverCanceled turns it into an ErrCanceled
+// error. It is a distinct type so genuine probe-code panics are never
+// mistaken for cancellations.
 type runCanceled struct{ err error }
+
+// recoverCanceled, deferred by an entry point, turns a runCanceled panic
+// into an ErrCanceled error in *err. Any other panic keeps propagating:
+// the service's compute recovery owns those.
+func recoverCanceled(err *error) {
+	if r := recover(); r != nil {
+		rc, ok := r.(runCanceled)
+		if !ok {
+			panic(r)
+		}
+		*err = fmt.Errorf("%w: %v", ErrCanceled, rc.err)
+	}
+}
 
 // Tuning carries per-run scheduler settings. They are scoped to a single
 // scheduler run, so concurrent schedulers (a long-running service) never

@@ -20,7 +20,7 @@ func TestConcurrentSchedulersTuned(t *testing.T) {
 	g := testbeds.ForkJoin(40, 10)
 	lu := testbeds.LU(12, 10)
 
-	refH, err := heftRun(g, pl, sched.OnePort, false, nil)
+	refH, err := eftSchedule("heft", g, pl, sched.OnePort, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,7 +37,7 @@ func TestConcurrentSchedulersTuned(t *testing.T) {
 			defer wg.Done()
 			tune := &Tuning{Scratch: NewScratch()}
 			for rep := 0; rep < 3; rep++ {
-				h, err := heftRun(g, pl, sched.OnePort, false, tune)
+				h, err := eftSchedule("heft", g, pl, sched.OnePort, tune)
 				if err != nil {
 					errs <- err
 					return
@@ -112,14 +112,14 @@ func TestScratchReuse(t *testing.T) {
 
 	tune := &Tuning{Scratch: NewScratch()}
 	for rep := 0; rep < 3; rep++ {
-		got, err := heftRun(g, pl, sched.OnePort, false, tune)
+		got, err := eftSchedule("heft", g, pl, sched.OnePort, tune)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if err := sameSchedule(want, got); err != nil {
 			t.Fatalf("rep %d: %v", rep, err)
 		}
-		gotSmall, err := heftRun(g, small, sched.OnePort, false, tune)
+		gotSmall, err := eftSchedule("heft", g, small, sched.OnePort, tune)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -132,10 +132,10 @@ func TestTwinClassesKeepProbeOrder(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, x := range placed {
-		s.commit(x.task, s.probe(x.task, x.proc, s.preds(x.task)))
+		s.commit(x.task, s.probe(x.task, x.proc))
 	}
 	x, y := 6, 7
-	px, py := s.probe(x, 2, s.preds(x)).finish, s.probe(y, 2, s.preds(y)).finish
+	px, py := s.probe(x, 2).finish, s.probe(y, 2).finish
 	if px != 36 || py != 35 {
 		t.Fatalf("finishes on P2: x %g, y %g; want 36 and 35", px, py)
 	}
@@ -207,7 +207,7 @@ func TestProbeCounts(t *testing.T) {
 			return dlsRun(testbeds.LU(30, 10), seededPlatform(t, 1, 32), sched.LinkContention, tune)
 		}, 2416, 3352},
 		{"heft/lu60/paper/one-port", func(tune *Tuning) (*sched.Schedule, error) {
-			return heftRun(testbeds.LU(60, 10), platform.Paper(), sched.OnePort, false, tune)
+			return eftSchedule("heft", testbeds.LU(60, 10), platform.Paper(), sched.OnePort, tune)
 		}, 3656, 4793},
 	}
 	for _, c := range cases {

@@ -155,30 +155,6 @@ func (s *Intervals) Reset() { s.iv = s.iv[:0] }
 type View struct {
 	Base  *Intervals // may be nil (treated as empty)
 	Extra []Interval // tentative busy periods, sorted by Start, non-overlapping
-
-	// Cur, when non-nil, caches the walk position in Base across successive
-	// EarliestGap calls. It is only consulted when still valid and the new
-	// search starts at or after the cached time; the caller must invalidate
-	// it whenever Base changes.
-	Cur *Cursor
-}
-
-// Cursor remembers where a previous gap search stopped inside one timeline's
-// busy list, so a later search over the same (unchanged) timeline with an
-// equal-or-later start time resumes the forward walk instead of re-running
-// the binary search. The zero value is an invalid (ignored) cursor.
-type Cursor struct {
-	idx   int     // first interval with End > at
-	at    float64 // the time idx was established for
-	valid bool
-}
-
-// Invalidate marks the cursor stale; the next search falls back to a binary
-// search. Call it whenever the underlying timeline is mutated.
-func (c *Cursor) Invalidate() {
-	if c != nil {
-		c.valid = false
-	}
 }
 
 // EarliestGap returns the earliest t >= after such that the window
@@ -189,9 +165,9 @@ func (c *Cursor) Invalidate() {
 // dur == 0 windows conflict only when strictly inside a busy period, so
 // zero-size messages schedule instantly at their ready time.
 //
-// The search is a k-way merged walk: every view keeps a cursor into its
+// The search is a k-way merged walk: every view keeps an index into its
 // committed busy list and its overlay, and since the candidate time t only
-// ever increases, each cursor advances monotonically. One call is therefore
+// ever increases, each index advances monotonically. One call is therefore
 // O(k·log n) for the initial positioning plus O(total intervals walked),
 // instead of a fresh binary search per conflict.
 func EarliestGap(after, dur float64, views ...View) float64 {
@@ -207,7 +183,7 @@ func EarliestGap(after, dur float64, views ...View) float64 {
 // moves forward, so from lower-bounds the gap the committed timelines alone
 // give, and equals it when no overlay moved the window.
 func EarliestGapMoved(after, dur float64, views ...View) (t, from float64) {
-	// cursor storage: stack-allocated for the common arities (<= 4 views)
+	// index storage: stack-allocated for the common arities (<= 4 views)
 	var biArr, eiArr [4]int
 	bi, ei := biArr[:], eiArr[:]
 	if len(views) > 4 {
@@ -217,10 +193,6 @@ func EarliestGapMoved(after, dur float64, views ...View) (t, from float64) {
 	for i := range views {
 		v := &views[i]
 		if v.Base == nil {
-			continue
-		}
-		if c := v.Cur; c != nil && c.valid && after >= c.at {
-			bi[i] = c.idx
 			continue
 		}
 		iv := v.Base.iv
@@ -259,12 +231,6 @@ func EarliestGapMoved(after, dur float64, views ...View) (t, from float64) {
 			}
 		}
 		if !moved {
-			for i := range views {
-				v := &views[i]
-				if v.Cur != nil && v.Base != nil {
-					*v.Cur = Cursor{idx: bi[i], at: t, valid: true}
-				}
-			}
 			return t, min(from, t)
 		}
 	}

@@ -29,8 +29,11 @@
 // and cache hits and session deltas bypass admission entirely. GET
 // /metrics exports the full stats surface in Prometheus text format.
 //
-// Endpoints: POST /schedule, POST /batch, GET /healthz, GET /stats,
-// GET /metrics.
+// Endpoints (Server.Handler): POST /schedule, POST /batch; sessions:
+// POST /session, POST /session/{id}/delta, GET /session/{id}/export,
+// DELETE /session/{id}; replica to replica: POST /session/peer/import,
+// POST /cache/peer; ring membership: GET /ring, POST /ring; operations:
+// GET /healthz, GET /readyz, GET /stats, GET /metrics.
 package service
 
 import (
