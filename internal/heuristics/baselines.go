@@ -116,83 +116,24 @@ func dlsRun(g *graph.Graph, pl *platform.Platform, model sched.Model, tune *Tuni
 	if err != nil {
 		return nil, err
 	}
-	ef := pl.AvgExecFactor()
-	f := attachFrontier(s)
 	rel := newReleaser(g)
 	ready := newReadyList(sl)
-	np := pl.NumProcs()
-	sc := f.scan
-	sc.resizeNext(g.NumNodes())
-	sc.admit(s, ready, sl, rel.initial())
-	// Every step computes the exact argmax over all (ready task, processor)
-	// pairs by the total order (DL desc, task id asc, proc id asc) — exactly
-	// the pair the former ascending-id strict-improvement scan kept. The
-	// ready list holds one task per class of interchangeable ones
-	// (frontierScan.admit). A step scores the fresh and compute-refreshed
-	// entries, then visits the staleFull pairs in a bound pass: a pair whose
-	// DL upper bound sl − boundStart + Δ cannot beat the incumbent under the
-	// full tie-break can never be the argmax and is skipped without a probe.
-	// The rest get a fresh start bound from their task's sender releases
-	// (rebound), which the entry keeps, so a pair that bound rules out costs
-	// later steps one O(1) check until the incumbent comes close enough; a
-	// pair the fresh bound cannot rule out either is re-probed exactly once.
+	tw := newTwins(g.NumNodes())
+	tw.admit(s, ready, sl, rel.initial())
+	ef := pl.AvgExecFactor()
+	// The ready list holds one task per class of interchangeable ones
+	// (twins.admit), and every step picks the exact argmax over all (ready
+	// task, processor) pairs under (DL desc, task id asc, proc id asc)
+	// (dlsStep) — the pair the full ascending-id strict-improvement scan
+	// keeps.
 	for !ready.empty() {
-		bestV, bestP, bestDL := -1, -1, math.Inf(-1)
-		better := func(dl float64, v, q int) bool {
-			return dl > bestDL || (dl == bestDL && (v < bestV || (v == bestV && q < bestP)))
-		}
-		stale := sc.stale[:0]
-		for _, v := range ready.items() {
-			row := f.row(v)
-			w := g.Weight(v)
-			for q := 0; q < np; q++ {
-				e := &row[q]
-				switch f.staleKind(v, q, e) {
-				case staleCompute:
-					f.fastRefresh(v, q, e)
-				case staleFull:
-					stale = append(stale, probePair{v: int32(v), p: int32(q)})
-					continue
-				}
-				dl := sl[v] - e.start + (w*ef - pl.ExecTime(w, q))
-				if better(dl, v, q) {
-					bestV, bestP, bestDL = v, q, dl
-				}
-			}
-		}
-		predsOf := -1
-		var preds []predInfo
-		var releases []float64
-		for _, pr := range stale {
-			v, q := int(pr.v), int(pr.p)
-			e := &f.entries[v*np+q]
-			w := g.Weight(v)
-			delta := w*ef - pl.ExecTime(w, q)
-			if !better(sl[v]-f.boundStart(e)+delta, v, q) {
-				continue
-			}
-			if predsOf != v {
-				preds, predsOf = s.preds(v), v
-				releases = s.senderReleases(preds)
-			}
-			if !better(sl[v]-f.rebound(v, q, preds, releases)+delta, v, q) {
-				continue
-			}
-			f.refresh(v, q, preds)
-			if dl := sl[v] - e.start + delta; better(dl, v, q) {
-				bestV, bestP, bestDL = v, q, dl
-			}
-		}
-		sc.stale = stale
-		s.commit(bestV, f.placementFor(bestV, bestP))
-		ready.remove(bestV)
-		if next := sc.next[bestV]; next >= 0 {
+		v, best := s.dlsStep(ready.items(), sl, ef)
+		s.commit(v, best)
+		ready.remove(v)
+		if next := tw.next[v]; next >= 0 {
 			ready.push(int(next))
 		}
-		sc.admit(s, ready, sl, rel.release(bestV))
-	}
-	if !rel.done() {
-		return nil, graph.ErrCycle
+		tw.admit(s, ready, sl, rel.release(v))
 	}
 	return s.sch, nil
 }

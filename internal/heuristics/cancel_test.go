@@ -28,8 +28,8 @@ func (c *countdownCtx) Err() error {
 
 // TestTuningCtxCancelsRun: an expired Tuning.Ctx aborts the run with an
 // error satisfying errors.Is(err, ErrCanceled) — before the first commit
-// or mid-run alike — for list heuristics, the frontier-engine heuristics
-// and the exhaustive search; and the Scratch a canceled run borrowed is
+// or mid-run alike — for list heuristics, DLS's whole-frontier scan and
+// the exhaustive search; and the Scratch a canceled run borrowed is
 // reclaimed intact: the next run on it completes and matches a fresh
 // reference schedule.
 func TestTuningCtxCancelsRun(t *testing.T) {
@@ -38,7 +38,7 @@ func TestTuningCtxCancelsRun(t *testing.T) {
 	for _, name := range []string{"heft", "dls", "cpop", "ilha", "exhaustive-safe"} {
 		heur := name
 		if heur == "exhaustive-safe" {
-			heur = "dls" // exhaustive has no registry name; dls covers the engine path
+			heur = "dls" // exhaustive has no registry name; dls covers the whole-frontier scan
 		}
 		t.Run(name, func(t *testing.T) {
 			sc := NewScratch()

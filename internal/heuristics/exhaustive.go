@@ -19,11 +19,11 @@ import (
 // for small instances: heuristic results are compared against it in tests
 // and ablation tables.
 //
-// The (ready task × processor) expansion scores come from the frontier-probe
-// engine: each DFS node revalidates only the pairs its parent's one commit
-// perturbed (a cloned child inherits the parent's cache), while pruning and
-// expansion order — and therefore the result and the completion flag — are
-// byte-identical to the uncached search.
+// Each DFS node bounds the start of every (ready task, processor) pair
+// without probing (startBounds, the bound bestEFT prunes on) and probes
+// only the pairs that bound cannot prune, so pruning and expansion order —
+// and therefore the result and the completion flag — are those of the
+// search that probes every pair.
 //
 // The search is exponential; nodeBudget caps the number of DFS expansions.
 // The returned flag reports whether the search ran to completion (true) or
@@ -43,7 +43,6 @@ func ExhaustiveTuned(g *graph.Graph, pl *platform.Platform, model sched.Model, n
 		return nil, false, err
 	}
 	defer tune.reclaim(s)
-	attachFrontier(s)
 	// remaining pure-computation bottom level at the fastest speed: a lower
 	// bound on the time between a task's start and the makespan
 	tmin := pl.CycleTime(pl.FastestProc())
@@ -63,6 +62,9 @@ func ExhaustiveTuned(g *graph.Graph, pl *platform.Platform, model sched.Model, n
 		}
 	}
 
+	// starts[d*np:(d+1)*np] is the start-bound row of the node at depth d:
+	// a node's row must outlive its children's searches
+	starts := make([]float64, n*np)
 	var best *sched.Schedule
 	bestSpan := math.Inf(1)
 	nodes := 0
@@ -85,48 +87,35 @@ func ExhaustiveTuned(g *graph.Graph, pl *platform.Platform, model sched.Model, n
 			}
 			return
 		}
-		// Score every (ready, proc) pair: cache hits for everything the path
-		// to this node left untouched. A stale entry's bound lower-bounds the
-		// pair's true start (frontier.startBound), so a pair the bound prunes
-		// is pruned without ever re-probing it (the reference search, seeing
-		// the no-smaller true start, prunes it too), and every pair that
-		// survives the bound is re-probed up front and judged again on its
-		// exact start.
-		f := st.frontier
-		f.ensureFiltered(ready, func(v, p int, e *frontierEntry) bool {
-			return f.boundStart(e)+blw[v] < bestSpan
-		})
+		row := starts[placed*np : (placed+1)*np]
 		for ri, v := range ready {
-			row := f.row(v)
-			for q := 0; q < np; q++ {
-				e := &row[q]
-				// prune on the lower bound first: it holds for stale entries
-				if f.boundStart(e)+blw[v] >= bestSpan {
+			st.startBounds(row, v)
+			for q, bound := range row {
+				// prune on the bound first: it lower-bounds the start, so the
+				// search that probes every pair prunes this one too; a pair
+				// that survives is judged on its exact start, which a bound
+				// below it must not stand in for
+				if bound+blw[v] >= bestSpan {
 					continue
 				}
-				// the entry is exact now (the sweep refreshed every pair whose
-				// bound could still pass, and bestSpan only shrinks): re-check
-				// against the exact start, which a bound below it must not
-				// stand in for
-				if e.start+blw[v] >= bestSpan {
+				plc := st.probe(v, q)
+				if plc.start+blw[v] >= bestSpan {
 					continue
 				}
 				// the pair would expand: only now may the budget cut it off,
-				// and doing so means the search did not run to completion —
-				// the pre-engine code returned here silently, letting a
-				// mid-search cutoff masquerade as a completed (provably
-				// optimal) search, while pairs the bound disposes of are
-				// legitimately finished work at any node count
+				// and doing so means the search did not run to completion,
+				// while pairs the bounds dispose of are legitimately finished
+				// work at any node count
 				if nodes >= nodeBudget {
 					exhausted = true
 					return
 				}
-				plc := f.placementFor(v, q)
 				child := st.clone()
-				// the DFS is strictly sequential and probes fully reset
-				// their buffer, so the whole search shares one buffer
-				// instead of lazily growing one per cloned state
-				child.pbuf = st.pbuf
+				// the DFS is strictly sequential, and probes and bounds refill
+				// their scratch on every call, so the whole search shares the
+				// root's probe buffer and predecessor and release scratch
+				// instead of lazily growing them per cloned state
+				child.pbuf, child.predBuf, child.releases = st.pbuf, st.predBuf, st.releases
 				child.commit(v, plc)
 				nm := curMax
 				if plc.finish > nm {
@@ -146,9 +135,6 @@ func ExhaustiveTuned(g *graph.Graph, pl *platform.Platform, model sched.Model, n
 				for _, a := range g.Succ(v) {
 					indeg[a.Node]++
 				}
-				// the child subtree is fully explored: recycle its engine
-				// clone for the next branch
-				f.scan.recycle(child.frontier)
 			}
 		}
 	}

@@ -9,10 +9,11 @@ import (
 	"oneport/internal/testbeds"
 )
 
-// Benchmarks for the frontier-probe engine at the fig7/fig8 benchmark
-// scales (FORK-JOIN 300, LU 60). The *_Reference variants run the preserved
-// pre-engine loops from reference_test.go, so the engine's win — cached
-// pairs plus parallel re-probing — stays measurable in one binary:
+// Benchmarks for the whole-frontier scans of DLS and the Exhaustive search
+// at the fig7/fig8 benchmark scales (FORK-JOIN 300, LU 60). The *_Reference
+// variants run the loops preserved in reference_test.go, which probe every
+// pair at every step, so the win of bounding before probing stays
+// measurable in one binary:
 //
 //	go test -bench 'DLS|Exhaustive' -benchtime 2x ./internal/heuristics
 func benchGraphs() map[string]*graph.Graph {
@@ -66,7 +67,7 @@ func BenchmarkDLSReference(b *testing.B) {
 
 // exhaustiveBenchBudget caps the branch-and-bound benchmarks: the work per
 // op is exactly this many DFS expansions (the searches never complete), so
-// reference and engine run the identical tree.
+// the reference and the pruned search run the identical tree.
 const exhaustiveBenchBudget = 4000
 
 func BenchmarkExhaustive(b *testing.B) {
@@ -88,41 +89,5 @@ func BenchmarkExhaustiveReference(b *testing.B) {
 		if _, _, err := exhaustiveReference(g, pl, sched.OnePort, exhaustiveBenchBudget); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-// BenchmarkFrontierScanCached isolates the engine's steady-state frontier
-// scan: on a half-scheduled LU instance with a fully warm cache, one ensure
-// over the whole ready frontier is a pure validity sweep — the per-step cost
-// the caching saves compared to |ready| × procs probes.
-func BenchmarkFrontierScanCached(b *testing.B) {
-	pl := platform.Paper()
-	g := testbeds.LU(30, 10)
-	prio, err := priorities(g, pl)
-	if err != nil {
-		b.Fatal(err)
-	}
-	s, err := newState(g, pl, sched.OnePort, nil)
-	if err != nil {
-		b.Fatal(err)
-	}
-	f := attachFrontier(s)
-	ready := newReadyList(prio)
-	rel := newReleaser(g)
-	for _, v := range rel.initial() {
-		ready.push(v)
-	}
-	for rel.placed < g.NumNodes()/2 {
-		v := ready.pop()
-		s.commit(v, s.bestEFT(v, nil))
-		for _, nv := range rel.release(v) {
-			ready.push(nv)
-		}
-	}
-	f.ensure(ready.items()) // warm every pair
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		f.ensure(ready.items())
 	}
 }

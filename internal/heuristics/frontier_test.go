@@ -15,10 +15,10 @@ import (
 	"oneport/internal/testbeds"
 )
 
-// frontierCases are the graph × platform instances the engine determinism
-// suites run on: dense paper platform plus the routed line topology, where
-// communications traverse multi-hop placeComm routes and invalidation must
-// track every intermediate processor.
+// frontierCases are the graph × platform instances the determinism suites
+// run on: dense paper platform plus the routed line topology, where
+// communications traverse multi-hop placeComm routes and the bounds walk
+// every intermediate processor.
 func frontierCases() []struct {
 	name string
 	g    *graph.Graph
@@ -41,23 +41,21 @@ func frontierCases() []struct {
 		{"lu12", testbeds.LU(12, 10), platform.Paper()},
 		{"stencil8", testbeds.Stencil(8, 10), platform.Paper()},
 		{"lu10-line4", testbeds.LU(10, 10), linePlatform(4)},
-		// more than 64 processors: read sets span multiple mask words, so
-		// these exercise the multi-word staleness walk (the old engine
-		// degraded to invalidate-on-any-commit here) at the word boundary
-		// (65) and well past it (100)
+		// more than 64 processors, at the boundary of one 64-bit word (65)
+		// and well past it (100)
 		{"lu6-wide65", testbeds.LU(6, 10), wide},
 		{"lu6-wide100", testbeds.LU(6, 10), wide100},
 	}
 }
 
-// TestDLSFrontierDeterminism pins the tentpole guarantee: the engine-backed
-// DLS — cached scores, fine-grained invalidation, bound pass — produces
-// schedules byte-identical to the pre-engine reference loop, for every
-// communication model, on dense and routed platforms.
+// TestDLSFrontierDeterminism pins DLS's pruned scan (dlsStep, twin
+// classes): it produces schedules byte-identical to the reference loop that
+// probes every pair at every step, for every communication model, on dense
+// and routed platforms.
 //
 // The one-port and uni-port cases below are where a scan that pruned on
 // stale starts missed the argmax: under one-port rules a commit can lower
-// a pair's start (see frontier.startBound), so only a sound bound keeps
+// a pair's start (TestFrontierBoundAnomaly), so only a sound bound keeps
 // DLS on the reference schedule.
 func TestDLSFrontierDeterminism(t *testing.T) {
 	check := func(t *testing.T, g *graph.Graph, pl *platform.Platform, model sched.Model) {
@@ -114,7 +112,7 @@ func TestDLSFrontierDeterminism(t *testing.T) {
 }
 
 // TestBILFrontierDeterminism is the same pin for the static-order EFT
-// runner (eftRun), which has no engine: BIL, HEFT and HEFT-append must
+// runner (eftRun): BIL, HEFT and HEFT-append must
 // match the original interleaved list loop (listReference) on every case.
 // The incremental oracle cannot stand in for this: its cold side is the
 // same runner.
@@ -175,11 +173,10 @@ func TestCPOPFrontierDeterminism(t *testing.T) {
 	}
 }
 
-// TestExhaustiveFrontierDeterminism pins the branch-and-bound: with the
-// engine (inherited caches, the bound-filtered sweep) the search must visit
-// the same tree — same best schedule, byte for byte, and the same
-// completion flag — as the reference, exhaustively on small instances and
-// under a budget cutoff.
+// TestExhaustiveFrontierDeterminism pins the branch-and-bound: pruning on
+// the start bound before it probes, the search must visit the same tree —
+// same best schedule, byte for byte, and the same completion flag — as the
+// reference, exhaustively on small instances and under a budget cutoff.
 func TestExhaustiveFrontierDeterminism(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
@@ -193,7 +190,7 @@ func TestExhaustiveFrontierDeterminism(t *testing.T) {
 			for _, budget := range budgets {
 				ref, refDone, err := exhaustiveReference(g, pl, model, budget)
 				if err != nil {
-					continue // tiny budget found nothing: also true for the engine
+					continue // tiny budget found nothing: also true for the pruned search
 				}
 				got, gotDone, err := Exhaustive(g, pl, model, budget)
 				if err != nil {
@@ -217,13 +214,57 @@ func TestExhaustiveFrontierDeterminism(t *testing.T) {
 	}
 }
 
-// TestFrontierNeverServesStale is the adversarial invalidation property: on
-// a routed line platform every remote message crosses intermediate wires, so
-// a commit can perturb a communication path shared by a cached pair whose
-// task and processor are both unrelated to the committed task. After every
-// commit, every cached (ready task, processor) score must equal a probe
-// recomputed from scratch. The commit choice deliberately maximizes the
-// start time so messages are forced across the longest routes.
+// TestExhaustiveCutoffFrontierDeterminism pins the branch-and-bound on
+// LU instances under every model: LU-5 on the paper platform cut off at
+// 4,000 expansions, and LU-4 on three processors searched to completion.
+// A cut-off search shows how many nodes the search spent, so it fails when
+// a pair whose bound survives is expanded without the check of its exact
+// start, which the random DAGs above leave unseen.
+func TestExhaustiveCutoffFrontierDeterminism(t *testing.T) {
+	small, err := platform.Homogeneous(3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct {
+		name   string
+		g      *graph.Graph
+		pl     *platform.Platform
+		budget int
+	}{
+		{"lu5-paper-4000", testbeds.LU(5, 10), platform.Paper(), 4000},
+		{"lu4-p3-complete", testbeds.LU(4, 10), small, 300000},
+	}
+	for _, c := range cases {
+		for _, model := range sched.Models() {
+			t.Run(fmt.Sprintf("%s/%s", c.name, model), func(t *testing.T) {
+				ref, refDone, err := exhaustiveReference(c.g, c.pl, model, c.budget)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, gotDone, err := Exhaustive(c.g, c.pl, model, c.budget)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if gotDone != refDone {
+					t.Fatalf("complete=%v, reference %v", gotDone, refDone)
+				}
+				if err := sameSchedule(ref, got); err != nil {
+					t.Fatal(err)
+				}
+			})
+		}
+	}
+}
+
+// TestFrontierNeverServesStale is the adversarial property of DLS's scan.
+// The walk commits, at every step, the top task on the processor where it
+// starts latest, so messages are forced across the longest routes and the
+// walk reaches states DLS itself never would: on routed line platforms,
+// where every remote message crosses intermediate wires, and on platforms
+// past 64 processors. Before every commit, dlsStep over every ready task
+// must pick the pair the full scan picks (every pair probed afresh in
+// ascending ids, strict improvement) and return that pair's fresh
+// placement, hop for hop: DLS commits it without a second probe.
 func TestFrontierNeverServesStale(t *testing.T) {
 	wide, err := platform.Homogeneous(65)
 	if err != nil {
@@ -248,7 +289,7 @@ func TestFrontierNeverServesStale(t *testing.T) {
 		for _, model := range sched.Models() {
 			t.Run(fmt.Sprintf("%s/%s", c.name, model), func(t *testing.T) {
 				g, pl := c.g, c.pl
-				prio, err := priorities(g, pl)
+				sl, err := priorities(g, pl)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -256,39 +297,44 @@ func TestFrontierNeverServesStale(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				f := attachFrontier(s)
+				ef := pl.AvgExecFactor()
 				check := newProbeBuf(pl.NumProcs())
-				ready := newReadyList(prio)
+				var keep []sched.CommEvent // the full scan's pick, out of probe scratch
+				ready := newReadyList(sl)
 				rel := newReleaser(g)
 				for _, v := range rel.initial() {
 					ready.push(v)
 				}
-				np := pl.NumProcs()
 				for !ready.empty() {
-					f.ensure(ready.items())
-					for _, v := range ready.items() {
+					ids := slices.Sorted(slices.Values(ready.items()))
+					wantV, wantDL := -1, math.Inf(-1)
+					var want placement
+					for _, v := range ids {
 						preds := s.preds(v)
-						row := f.row(v)
-						for p := 0; p < np; p++ {
+						for p := range pl.NumProcs() {
 							fresh, _ := s.probeAgainst(check, v, p, preds, nil, 0)
-							finish := row[p].start + pl.ExecTime(g.Weight(v), p)
-							if row[p].start != fresh.start || finish != fresh.finish {
-								t.Fatalf("stale cache for task %d proc %d: cached (%g,%g), fresh (%g,%g)",
-									v, p, row[p].start, finish, fresh.start, fresh.finish)
+							if dl := s.dynLevel(sl, ef, v, p, fresh.start); dl > wantDL {
+								wantV, wantDL, want = v, dl, stashPlacement(&keep, fresh)
 							}
 						}
 					}
-					// commit the pair with the LATEST start among the top
-					// task's row: maximizes remote traffic and route length
+					gotV, got := s.dlsStep(ready.items(), sl, ef)
+					if gotV != wantV {
+						t.Fatalf("dlsStep picked task %d on P%d, the full scan task %d on P%d", gotV, got.proc, wantV, want.proc)
+					}
+					if err := samePlacement(want, got); err != nil {
+						t.Fatalf("task %d: %v", gotV, err)
+					}
+					// commit the top task where it starts latest: maximizes
+					// remote traffic and route length
 					v := ready.pop()
-					worst := 0
-					row := f.row(v)
-					for p := 1; p < np; p++ {
-						if row[p].start > row[worst].start {
-							worst = p
+					worst, latest := 0, math.Inf(-1)
+					for p := range pl.NumProcs() {
+						if start := s.probe(v, p).start; start > latest {
+							worst, latest = p, start
 						}
 					}
-					s.commit(v, f.placementFor(v, worst))
+					s.commit(v, s.probe(v, worst))
 					for _, nv := range rel.release(v) {
 						ready.push(nv)
 					}
@@ -300,7 +346,7 @@ func TestFrontierNeverServesStale(t *testing.T) {
 
 // boundPlatforms are the platforms of the bound properties: the paper
 // platform, a 16-processor heterogeneous one, the routed line and 70
-// processors (two read-set mask words).
+// processors.
 func boundPlatforms(t *testing.T) []struct {
 	name string
 	pl   *platform.Platform
@@ -314,8 +360,7 @@ func boundPlatforms(t *testing.T) []struct {
 	}
 	for q := 0; q < 16; q++ {
 		for r := q + 1; r < 16; r++ {
-			// a 0.3 link keeps the durations off the binary grid, so the
-			// bound's rounding guard (exactSums) is exercised too
+			// a 0.3 link keeps the durations off the binary grid
 			c := []float64{0.5, 1, 2, 0.3}[rng.Intn(4)]
 			link16[q][r], link16[r][q] = c, c
 		}
@@ -343,28 +388,21 @@ func boundPlatforms(t *testing.T) []struct {
 	}
 }
 
-// TestFrontierBoundSound is the soundness property of both pruning bounds:
-// along randomized commit walks — random tasks committed to random
-// processors, so messages queue on ports in every order — every entry
-// probed in this run must keep the engine's boundStart and boundFinish at
-// or below what a fresh probe returns after every later commit, whether
-// the entry is stale or not, and a valid entry must carry the fresh start
-// exactly; and the finish bound of every ready task on every processor
-// (earliestStart plus the execution time, the bound bestEFT's pass gives
-// each candidate), with the sender releases bestEFT computes, must stay at
-// or below the fresh finish. The walks refresh random rows only now and
-// then, so entries go stale across many commits and through compute-only
-// refreshes. Now and then a walk records a fresh bound in a random stale
-// pair, as DLS's bound pass does (frontier.rebound); each such bound-only
-// entry must keep boundStart at or below the fresh start after every later
-// commit and must never be served as valid, and every model that ran must
-// have checked some. Append-only placement runs both ways: it moves the
-// compute gap search of both bounds. Under each port model that ran, some
-// finish bound checks must have a remote predecessor whose release is past
+// TestFrontierBoundSound is the soundness property of the start bound
+// the pruned scans take (startBounds, which DLS and the Exhaustive search
+// prune on; plus the execution time it is bestEFT's bound, bit for bit,
+// see checkBounds): along randomized commit walks
+// — random tasks committed to random processors, so messages queue on
+// ports in every order — the start bound of every ready task on every
+// processor, from the sender releases bestEFT computes, must stay at or
+// below the start a fresh probe returns, and the bound plus the execution
+// time at or below its finish. Append-only placement runs both ways: it
+// moves the compute gap search of the bound. Under each port model that
+// ran, some checks must have a remote predecessor whose release is past
 // its finish, or the release term went untested.
 func TestFrontierBoundSound(t *testing.T) {
-	checks, loose := 0, 0
-	ran, released, recorded := map[sched.Model]bool{}, map[sched.Model]int{}, map[sched.Model]int{}
+	checks := 0
+	ran, released := map[sched.Model]bool{}, map[sched.Model]int{}
 	for _, appendOnly := range []bool{false, true} {
 		prefix := ""
 		if appendOnly {
@@ -375,36 +413,29 @@ func TestFrontierBoundSound(t *testing.T) {
 				for seed := int64(1); seed <= 3; seed++ {
 					t.Run(fmt.Sprintf("%s%s/%s/seed%d", prefix, c.name, model, seed), func(t *testing.T) {
 						g := testbeds.RandomLayered(seed, 8, 8, 10, 10)
-						n, l, r, b := boundWalk(t, g, c.pl, model, appendOnly, rand.New(rand.NewSource(seed)))
+						n, r := boundWalk(t, g, c.pl, model, appendOnly, rand.New(rand.NewSource(seed)))
 						checks += n
-						loose += l
 						ran[model] = true
 						released[model] += r
-						recorded[model] += b
 					})
 				}
 			}
 		}
 	}
-	t.Logf("%d bound checks, %d with a bound strictly below the fresh start; finish bound checks with a release past its finish: %v; bound-only entry checks: %v",
-		checks, loose, released, recorded)
+	t.Logf("%d bound checks; checks with a sender release past its finish: %v", checks, released)
 	for _, model := range []sched.Model{sched.OnePort, sched.UniPort, sched.OnePortNoOverlap} {
 		if ran[model] && released[model] == 0 {
-			t.Errorf("%s: no finish bound check had a sender release past its predecessor's finish", model)
-		}
-	}
-	for _, model := range sched.Models() {
-		if ran[model] && recorded[model] == 0 {
-			t.Errorf("%s: no check of a bound-only entry", model)
+			t.Errorf("%s: no bound check had a sender release past its predecessor's finish", model)
 		}
 	}
 }
 
 // TestFrontierBoundAnomaly pins the two-message counter-example of
-// frontier.startBound (and DESIGN.md): a commit that delays a probe's first
+// DESIGN.md "Whole-frontier scans": a commit that delays a probe's first
 // message frees the receive port for its second, and the pair's start
-// falls from 109 to 102. The stale start overstates the fresh one; the
-// recorded bound must not.
+// falls from 109 to 102. So no start seen before a commit bounds a start
+// after it, and the scans keep none; the start bound they take afresh
+// must stay at or below the probe's start on both sides of the commit.
 func TestFrontierBoundAnomaly(t *testing.T) {
 	g := graph.New(7)
 	a := g.AddNode(0, "a")  // P0, done at 0: first message, 2 long
@@ -425,82 +456,44 @@ func TestFrontierBoundAnomaly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fr := attachFrontier(s)
 	for _, x := range []struct{ task, proc int }{{a, 0}, {b, 1}, {c, 3}, {d, 2}} {
 		s.commit(x.task, s.probe(x.task, x.proc))
 	}
-	fr.ensure([]int{v})
-	e := &fr.row(v)[2]
-	if e.start != 109 {
-		t.Fatalf("start before the commit = %g, want 109", e.start)
-	}
-	s.commit(f, s.probe(f, 3))
-	fresh := s.probe(v, 2)
-	if fresh.start != 102 {
-		t.Fatalf("fresh start after the commit = %g, want 102", fresh.start)
-	}
-	if fr.valid(v, 2) {
-		t.Fatal("the commit reserved P0's send port, which (v, P2) read")
-	}
-	if bs := fr.boundStart(e); bs > fresh.start {
-		t.Fatalf("boundStart %g above the fresh start %g", bs, fresh.start)
-	}
-}
-
-// TestExactSums pins the rounding guard of the Jackson bound: integral and
-// halved costs sum exactly in any order, 0.1-style costs and sums past
-// 2^43 do not.
-func TestExactSums(t *testing.T) {
-	cases := []struct {
-		hops []lastHop
-		want bool
-	}{
-		{[]lastHop{{0, 10}, {5, 20}, {7.5, 0.5}}, true},
-		{[]lastHop{{0, 0.1}, {0, 0.2}, {0, 0.3}}, false},
-		{[]lastHop{{1 << 42, 1 << 41}, {0, 1 << 41}}, false},
-		{nil, true},
-	}
-	for _, c := range cases {
-		if got := exactSums(c.hops); got != c.want {
-			t.Errorf("exactSums(%v) = %v, want %v", c.hops, got, c.want)
+	starts := make([]float64, pl.NumProcs())
+	for i, want := range []float64{109, 102} {
+		if i == 1 {
+			s.commit(f, s.probe(f, 3))
+		}
+		fresh := s.probe(v, 2)
+		if fresh.start != want {
+			t.Fatalf("start after %d commits = %g, want %g", 4+i, fresh.start, want)
+		}
+		if s.startBounds(starts, v); starts[2] > fresh.start {
+			t.Fatalf("start bound %g above the fresh start %g", starts[2], fresh.start)
 		}
 	}
 }
 
 // boundWalk runs one randomized commit walk for TestFrontierBoundSound and
-// returns how many engine entries it checked, how many of their bounds
-// were strictly below the fresh start, how many finish bound checks had a
-// remote predecessor whose sender release is past its finish, and how many
-// of the checked entries were bound-only. Under the models with no sender
-// term every release must be the finish.
-func boundWalk(t *testing.T, g *graph.Graph, pl *platform.Platform, model sched.Model, appendOnly bool, rng *rand.Rand) (checks, loose, released, recorded int) {
+// returns how many bounds it checked and how many of those checks had a
+// remote predecessor whose sender release is past its finish. Under the
+// models with no sender term every release must be the finish.
+func boundWalk(t *testing.T, g *graph.Graph, pl *platform.Platform, model sched.Model, appendOnly bool, rng *rand.Rand) (checks, released int) {
 	t.Helper()
 	s, err := newState(g, pl, model, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	s.appendOnly = appendOnly
-	f := attachFrontier(s)
 	check := newProbeBuf(pl.NumProcs())
 	rl := newReleaser(g)
 	var ready []int
 	ready = append(ready, rl.initial()...)
 	np := pl.NumProcs()
+	starts := make([]float64, np)
 	for len(ready) > 0 {
-		// refresh a random row now and then, so the other rows age
-		if rng.Intn(3) == 0 {
-			f.ensure(ready[rng.Intn(len(ready)):][:1])
-		}
-		// and record a fresh bound in a random stale pair, as DLS's bound
-		// pass does, so bound-only entries age across commits too
-		if rng.Intn(2) == 0 {
-			v, p := ready[rng.Intn(len(ready))], rng.Intn(np)
-			if f.staleKind(v, p, &f.row(v)[p]) == staleFull {
-				preds := s.preds(v)
-				f.rebound(v, p, preds, s.senderReleases(preds))
-			}
-		}
 		for _, v := range ready {
+			s.startBounds(starts, v)
 			preds := s.preds(v)
 			rel := s.senderReleases(preds)
 			if model == sched.MacroDataflow || model == sched.LinkContention {
@@ -510,38 +503,19 @@ func boundWalk(t *testing.T, g *graph.Graph, pl *platform.Platform, model sched.
 					}
 				}
 			}
-			row := f.row(v)
-			for p := 0; p < np; p++ {
+			for p, start := range starts {
 				fresh, _ := s.probeAgainst(check, v, p, preds, nil, 0)
-				if start, dur := s.earliestStart(g.Weight(v), p, preds, rel); start+dur > fresh.finish {
+				if start > fresh.start {
+					t.Fatalf("task %d proc %d: start bound %g above the fresh start %g", v, p, start, fresh.start)
+				}
+				if dur := pl.ExecTime(g.Weight(v), p); start+dur > fresh.finish {
 					t.Fatalf("task %d proc %d: finish bound %g above the fresh finish %g", v, p, start+dur, fresh.finish)
 				}
+				checks++
 				for i := range preds {
 					if preds[i].proc != p && rel[i] > preds[i].finish {
 						released++
 						break
-					}
-				}
-				e := &row[p]
-				if e.asOf < f.epoch {
-					continue // never probed this run
-				}
-				checks++
-				if bs := f.boundStart(e); bs > fresh.start {
-					t.Fatalf("task %d proc %d: boundStart %g above the fresh start %g", v, p, bs, fresh.start)
-				} else if bs < fresh.start {
-					loose++
-				}
-				if bf := f.boundFinish(v, p, e); bf > fresh.finish {
-					t.Fatalf("task %d proc %d: boundFinish %g above the fresh finish %g", v, p, bf, fresh.finish)
-				}
-				if f.valid(v, p) && e.start != fresh.start {
-					t.Fatalf("task %d proc %d: valid entry start %g, fresh %g", v, p, e.start, fresh.start)
-				}
-				if e.boundOnly() {
-					recorded++
-					if f.valid(v, p) {
-						t.Fatalf("task %d proc %d: bound-only entry (bound %g) served as valid", v, p, e.bound)
 					}
 				}
 			}
@@ -550,10 +524,10 @@ func boundWalk(t *testing.T, g *graph.Graph, pl *platform.Platform, model sched.
 		i := rng.Intn(len(ready))
 		v := ready[i]
 		ready = append(ready[:i], ready[i+1:]...)
-		s.commit(v, f.placementFor(v, rng.Intn(np)))
+		s.commit(v, s.probe(v, rng.Intn(np)))
 		ready = append(ready, rl.release(v)...)
 	}
-	return checks, loose, released, recorded
+	return checks, released
 }
 
 // TestBestEFTMatchesReference is the differential pin of the bound-seeded
@@ -564,9 +538,10 @@ func boundWalk(t *testing.T, g *graph.Graph, pl *platform.Platform, model sched.
 // ascending ones; shuffled ones check that ties go by position, not by
 // processor), under every model, on the bound platforms, with append-only
 // on and off. After every scan, each candidate's finish bound from bestEFT's
-// one-predecessor-at-a-time pass, and the bound earliestStart gives the
-// candidate alone, must equal the per-candidate bound the scan took before
-// (finishBoundReference) bit for bit. The same walks check the probe's cut
+// one-predecessor-at-a-time pass must equal the per-candidate bound the
+// scan took before (finishBoundReference) bit for bit, and so must, over
+// all processors, startBounds' start bound, the one DLS and the Exhaustive
+// search prune on, plus the execution time. The same walks check the probe's cut
 // at the incumbent (checkCuts) on the random subsets. Each case walks two
 // seeds, one per leg; the legs keep the names par1 (seed 1) and par8
 // (seed 2) from when both walked both seeds at two probe parallelisms, so
@@ -643,9 +618,9 @@ func eftWalk(t *testing.T, g *graph.Graph, pl *platform.Platform, model sched.Mo
 }
 
 // checkBounds checks, right after s.bestEFT(v, cands), the finish bound of
-// every candidate position in bestEFT's scratch, and the bound
-// earliestStart gives the candidate alone, against finishBoundReference,
-// bit for bit.
+// every candidate position in bestEFT's scratch against
+// finishBoundReference, bit for bit, and, for all processors, startBounds'
+// bound plus the execution time too.
 func checkBounds(t *testing.T, s *state, v int, cands []int, n *eftCounts) {
 	t.Helper()
 	m := len(cands)
@@ -659,12 +634,23 @@ func checkBounds(t *testing.T, s *state, v int, cands []int, n *eftCounts) {
 	for j, got := range bounds {
 		p := candidateAt(cands, j)
 		want := finishBoundReference(s, w, p, preds, rel)
-		start, dur := s.earliestStart(w, p, preds, rel)
-		if math.Float64bits(got) != math.Float64bits(want) || math.Float64bits(start+dur) != math.Float64bits(want) {
-			t.Fatalf("task %d, candidates %v, position %d (P%d): bestEFT bound %v, earliestStart bound %v, reference %v",
-				v, cands, j, p, got, start+dur, want)
+		if math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("task %d, candidates %v, position %d (P%d): bestEFT bound %v, reference %v",
+				v, cands, j, p, got, want)
 		}
 		n.bounds++
+	}
+	if cands != nil {
+		return
+	}
+	// startBounds refills the predecessor and release scratch: compare
+	// against the bounds bestEFT left, which matched the reference above
+	starts := make([]float64, m)
+	s.startBounds(starts, v)
+	for p, start := range starts {
+		if got := start + s.pl.ExecTime(w, p); math.Float64bits(got) != math.Float64bits(bounds[p]) {
+			t.Fatalf("task %d, P%d: startBounds bound plus execution time %v, bestEFT bound %v", v, p, got, bounds[p])
+		}
 	}
 }
 
@@ -749,69 +735,16 @@ func samePlacement(want, got placement) error {
 	return nil
 }
 
-// TestFrontierSharedPathInvalidation is the hand-built multi-hop case: two
-// independent chains pinned to the opposite ends of a 4-processor line. The
-// cached probe of (u, P3) reads every processor on the route P0→P1→P2→P3;
-// committing the unrelated task y onto P1 routes its message across the
-// shared wires {3,2} and {2,1}, so the cache must drop (u, P3) — while
-// (u, P0), whose probe read only P0, survives.
-func TestFrontierSharedPathInvalidation(t *testing.T) {
-	g := graph.New(4)
-	a := g.AddNode(1, "a") // source of u's data, pinned to P0
-	b := g.AddNode(1, "b") // source of y's data, pinned to P3
-	u := g.AddNode(1, "u")
-	y := g.AddNode(1, "y")
-	g.MustEdge(a, u, 5)
-	g.MustEdge(b, y, 5)
-	pl := linePlatform(4)
-
-	s, err := newState(g, pl, sched.OnePort, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	f := attachFrontier(s)
-	s.commit(a, s.probe(a, 0))
-	s.commit(b, s.probe(b, 3))
-
-	f.ensure([]int{u, y})
-	// (u, P3) read P0,P1,P2,P3 (full route from a on P0); (u, P0) read P0
-	// only (no communication)
-	if !f.valid(u, 3) || !f.valid(u, 0) {
-		t.Fatal("fresh entries must be valid")
-	}
-
-	// y's message b→y travels P3→P2→P1: wires {3,2}, {2,1}
-	s.commit(y, f.placementFor(y, 1))
-
-	if f.valid(u, 3) {
-		t.Fatal("(u,P3) read the perturbed route P1..P3 and must be invalidated")
-	}
-	if !f.valid(u, 0) {
-		t.Fatal("(u,P0) read only P0, which the commit left untouched; it must survive")
-	}
-
-	// after revalidation the refreshed entry must match a from-scratch probe
-	// that sees y's port traffic
-	f.ensure([]int{u})
-	check := newProbeBuf(pl.NumProcs())
-	fresh, _ := s.probeAgainst(check, u, 3, s.preds(u), nil, 0)
-	if got := f.row(u)[3]; got.start != fresh.start || got.ready != fresh.ready {
-		t.Fatalf("revalidated entry (start %g, ready %g) differs from fresh probe (%g, %g)",
-			got.start, got.ready, fresh.start, fresh.ready)
-	}
-}
-
-// TestFrontierScratchReuse pins the engine's recycling path: a Scratch now
-// carries the frontier across runs, so a reused engine must behave exactly
-// like a fresh one — including across graph- and platform-size changes and
-// across heuristics sharing one Scratch. The warm reset is O(1): old
-// entries and stamps are not zeroed, they are invalidated wholesale by the
-// epoch bump, so a reused engine serving a pre-epoch score (or using one as
-// a monotone bound) would show up here as a schedule diff. The last case
-// runs DLS on a heavy LU, every weight and data volume × 50, then on the
-// plain one with the same Scratch, under every model: the heavy run leaves
-// large bounds in the entries, and a bound pass that folded them into a
-// fresh bound (rebound) would skip pairs the light run needs.
+// TestFrontierScratchReuse pins the recycling path of a Scratch: the probe
+// buffer and the predecessor, bound and release scratch it carries across
+// runs are not zeroed, so a reused Scratch must behave exactly like a fresh
+// one — including across graph- and platform-size changes and across
+// heuristics sharing one Scratch. A scan that read a value left by an
+// earlier run would show up here as a schedule diff. The last case runs
+// DLS on a heavy LU, every weight and data volume × 50, then on the plain
+// one with the same Scratch, under every model: the heavy run leaves large
+// values in the bound scratch, and a scan that read one of them as a bound
+// would skip pairs the light run needs.
 func TestFrontierScratchReuse(t *testing.T) {
 	paper := platform.Paper()
 	small, err := platform.Homogeneous(3)

@@ -85,7 +85,6 @@ func eftRun(name string, g *graph.Graph, pl *platform.Platform, model sched.Mode
 		}
 		s.commit(v, placement{
 			proc:   ev.Proc,
-			ready:  ev.Start,
 			start:  ev.Start,
 			finish: ev.Finish,
 			comms:  prev.Schedule.Comms[lo:cur],

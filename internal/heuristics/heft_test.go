@@ -209,6 +209,9 @@ func TestHEFTRejectsCyclicGraph(t *testing.T) {
 	if _, err := ILHA(g, pl, sched.OnePort, ILHAOptions{}); err == nil {
 		t.Fatal("expected ILHA error on cyclic graph")
 	}
+	if _, err := DLS(g, pl, sched.OnePort); err == nil {
+		t.Fatal("expected DLS error on cyclic graph")
+	}
 }
 
 // randomLayeredDAG builds a random DAG for property testing.

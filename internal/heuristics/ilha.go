@@ -119,9 +119,6 @@ func ilhaRun(g *graph.Graph, pl *platform.Platform, model sched.Model, opts ILHA
 			}
 		}
 	}
-	if !rel.done() {
-		return nil, graph.ErrCycle
-	}
 	return s.sch, nil
 }
 

@@ -28,9 +28,9 @@ func halfScheduledLU(tb testing.TB, pl *platform.Platform, n int, tune *Tuning) 
 	for _, v := range rel.initial() {
 		ready.push(v)
 	}
-	for !ready.empty() {
+	for placed := 0; !ready.empty(); placed++ {
 		v := ready.pop()
-		if rl := rel.placed; rl > g.NumNodes()/2 && len(s.preds(v)) >= 2 {
+		if placed > g.NumNodes()/2 && len(s.preds(v)) >= 2 {
 			return s, v
 		}
 		s.commit(v, s.bestEFT(v, nil))

@@ -28,17 +28,6 @@ type probeBuf struct {
 	// comm events of the placement being built; Hops slices are recycled
 	comms []sched.CommEvent
 
-	// alone[i] lower-bounds where the last hop of comms[i] would start if
-	// the message were placed alone on the committed timelines, and is that
-	// hop's start when no overlay interval — one of this probe's own earlier
-	// messages — pushed the message; anyMoved reports whether any was
-	// pushed. Kept only when a frontier engine is attached: they feed the
-	// engine's pruning bound (frontier.startBound), and lastHops is that
-	// bound's scratch.
-	alone    []float64
-	anyMoved bool
-	lastHops []lastHop
-
 	// stash for the best placement found so far by the scan using this buf:
 	// comm events copied out of comms so later probes can safely clobber it
 	best []sched.CommEvent
@@ -79,8 +68,6 @@ func (b *probeBuf) reset() {
 	b.sendT, b.recvT, b.computeT = b.sendT[:0], b.recvT[:0], b.computeT[:0]
 	b.nw = 0
 	b.comms = b.comms[:0]
-	b.alone = b.alone[:0]
-	b.anyMoved = false
 }
 
 func (b *probeBuf) addSend(p int, start, end float64) {

@@ -10,20 +10,22 @@ import (
 	"oneport/internal/sched"
 )
 
-// This file preserves the pre-frontier-engine implementations of DLS, the
+// This file preserves the original implementations of DLS, the
 // static-order list loop (HEFT, HEFT-append, BIL) and the Exhaustive
-// search verbatim (modulo renamed ready-list plumbing) as test oracles,
-// together with CPOP, the plain earliest-finish scan that the bound-seeded
-// bestEFT replaced and the per-candidate finish bound its
-// one-predecessor-at-a-time bound pass replaced: the engine-backed and
-// pruned implementations must produce byte-identical schedules, and the
+// search, which probe every pair at every step, verbatim (modulo renamed
+// ready-list plumbing, the stash helper and the cycle checks that
+// newState's validation made unreachable) as test oracles, together with
+// CPOP, the plain earliest-finish scan that the bound-seeded bestEFT
+// replaced and the per-candidate finish bound its
+// one-predecessor-at-a-time bound pass replaced: the pruned
+// implementations must produce byte-identical schedules, and the
 // *_Reference benchmarks in frontier_bench_test.go keep the before/after
-// performance ratio visible. One deliberate deviation: the
-// pre-engine Exhaustive could report completion after a mid-search budget
-// cutoff (the post-recursion return never set the exhausted flag); that bug
-// fix is mirrored here — it moves the budget check to the top of each
-// expansion without changing the traversal — so the determinism suites can
-// still compare the flag.
+// performance ratio visible. One deliberate deviation: the original
+// Exhaustive could report completion after a mid-search budget cutoff (the
+// post-recursion return never set the exhausted flag); that bug fix is
+// mirrored here — it moves the budget check to the top of each expansion
+// without changing the traversal — so the determinism suites can still
+// compare the flag.
 
 // dlsReference is the original DLS loop: at every step it re-probes every
 // (ready task, processor) pair from scratch with the sequential probe path.
@@ -57,7 +59,7 @@ func dlsReference(g *graph.Graph, pl *platform.Platform, model sched.Model) (*sc
 				delta := g.Weight(v)*ef - pl.ExecTime(g.Weight(v), q)
 				dl := sl[v] - cand.start + delta
 				if dl > bestDL {
-					bestV, bestDL, bestPl = v, dl, s.stash(cand)
+					bestV, bestDL, bestPl = v, dl, stashPlacement(&s.buf().best, cand)
 				}
 			}
 		}
@@ -66,9 +68,6 @@ func dlsReference(g *graph.Graph, pl *platform.Platform, model sched.Model) (*sc
 		for _, nv := range rel.release(bestV) {
 			readySet[nv] = true
 		}
-	}
-	if !rel.done() {
-		return nil, graph.ErrCycle
 	}
 	return s.sch, nil
 }
@@ -90,7 +89,7 @@ func bestEFTReference(s *state, v int, candidates []int) placement {
 		}
 		pl := s.probe(v, p)
 		if best.proc == -1 || pl.finish < best.finish {
-			best = s.stash(pl)
+			best = stashPlacement(&s.buf().best, pl)
 		}
 	}
 	return best
@@ -152,9 +151,6 @@ func listReference(g *graph.Graph, pl *platform.Platform, model sched.Model, pri
 		for _, nv := range rel.release(v) {
 			ready.push(nv)
 		}
-	}
-	if !rel.done() {
-		return nil, graph.ErrCycle
 	}
 	return s.sch, nil
 }
@@ -318,9 +314,6 @@ func cpopReference(g *graph.Graph, pl *platform.Platform, model sched.Model) (*s
 		for _, nv := range rel.release(v) {
 			ready.push(nv)
 		}
-	}
-	if !rel.done() {
-		return nil, graph.ErrCycle
 	}
 	return s.sch, nil
 }

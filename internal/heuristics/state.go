@@ -47,17 +47,11 @@ type state struct {
 	predBuf   []predInfo
 	predCount []int // per-proc counting scratch (ILHA Step 1)
 
-	// bestEFT scratch: bounds[j] is candidate position j's finish bound,
-	// releases[i] the sender release of the task's i-th predecessor
+	// bound scratch: bounds holds one scan's bounds (bestEFT: candidate
+	// position j's finish bound at j; dlsStep: every pair's dynamic-level
+	// bound), releases[i] the sender release of the task's i-th predecessor
 	bounds   []float64
 	releases []float64
-
-	// frontier, when non-nil, is the frontier-probe engine attached by the
-	// whole-frontier heuristics (DLS, Exhaustive); commit notifies it
-	// so cached probe entries are invalidated. fmem parks an engine lent by
-	// a Scratch until (unless) the run attaches it.
-	frontier *frontier
-	fmem     *frontier
 
 	// hopArena chunks the committed hop copies handed to the schedule, so a
 	// commit costs one allocation per arena chunk instead of one per comm
@@ -198,22 +192,15 @@ func (s *state) clone() *state {
 			wi++
 		}
 	}
-	if s.frontier != nil {
-		c.frontier = s.frontier.cloneFor(c)
-	}
 	return c
 }
 
 // placement is the result of probing one candidate processor for one task.
 // comms points into scratch storage owned by the state: it stays valid until
-// the next probe cycle, so callers must commit (or stash) a placement before
-// probing again. ready is the earliest start the incoming communications
-// allow, before the compute-gap search (the frontier engine caches it: while
-// the ports a probe read stay untouched, a changed compute timeline only
-// requires redoing the final gap search from ready).
+// the next probe cycle, so callers must commit (or stash, see
+// stashPlacement) a placement before probing again.
 type placement struct {
 	proc          int
-	ready         float64
 	start, finish float64
 	comms         []sched.CommEvent
 }
@@ -236,16 +223,12 @@ func (s *state) placeComm(b *probeBuf, u, v int, data float64, q, r int, ready f
 	ev := b.appendComm(u, v, data)
 	b.msgs++
 	t := ready
-	// alone lower-bounds where the current hop would start on the committed
-	// timelines alone (exact until an overlay first pushes a hop), next the
-	// following hop's alone release; see probeBuf.alone
-	alone, next, pushed := ready, ready, false
 	for pa, pb := q, s.hop(q, r); pa != r; pa, pb = pb, s.hop(pb, r) {
 		dur := s.pl.CommTime(data, pa, pb)
-		start, from := t, t // MacroDataflow: ports are unlimited
+		start := t // MacroDataflow: ports are unlimited
 		switch s.model {
 		case sched.OnePort:
-			start, from = sched.EarliestGapMoved(t, dur,
+			start = sched.EarliestGap(t, dur,
 				sched.View{Base: &s.send[pa], Extra: b.send[pa]},
 				sched.View{Base: &s.recv[pb], Extra: b.recv[pb]})
 			b.addSend(pa, start, start+dur)
@@ -253,14 +236,14 @@ func (s *state) placeComm(b *probeBuf, u, v int, data float64, q, r int, ready f
 		case sched.UniPort:
 			// a single half-duplex port per processor: every hop occupies
 			// the (combined) port of both endpoints, stored in send[].
-			start, from = sched.EarliestGapMoved(t, dur,
+			start = sched.EarliestGap(t, dur,
 				sched.View{Base: &s.send[pa], Extra: b.send[pa]},
 				sched.View{Base: &s.send[pb], Extra: b.send[pb]})
 			b.addSend(pa, start, start+dur)
 			b.addSend(pb, start, start+dur)
 		case sched.OnePortNoOverlap:
 			// one-port rules and the hop blocks computation on both ends
-			start, from = sched.EarliestGapMoved(t, dur,
+			start = sched.EarliestGap(t, dur,
 				sched.View{Base: &s.send[pa], Extra: b.send[pa]},
 				sched.View{Base: &s.recv[pb], Extra: b.recv[pb]},
 				sched.View{Base: &s.compute[pa], Extra: b.compute[pa]},
@@ -271,22 +254,12 @@ func (s *state) placeComm(b *probeBuf, u, v int, data float64, q, r int, ready f
 			b.addCompute(pb, start, start+dur)
 		case sched.LinkContention:
 			k := wireKey(pa, pb)
-			start, from = sched.EarliestGapMoved(t, dur,
+			start = sched.EarliestGap(t, dur,
 				sched.View{Base: s.wireBase(pa, pb), Extra: b.wireExtra(k)})
 			b.addWire(k, start, start+dur)
 		}
-		if pushed {
-			alone = next
-		} else {
-			alone, pushed = from, from < start
-		}
-		next = alone + dur
 		ev.Hops = append(ev.Hops, sched.Hop{FromProc: pa, ToProc: pb, Start: start, Finish: start + dur})
 		t = start + dur
-	}
-	if s.frontier != nil {
-		b.alone = append(b.alone, alone)
-		b.anyMoved = b.anyMoved || pushed
 	}
 	return t
 }
@@ -319,7 +292,7 @@ func (s *state) preds(v int) []predInfo {
 
 // predsInto appends v's placed predecessors to buf, sorted by ascending
 // finish time (ties by node id), and returns the extended slice. It is the
-// arena-friendly form of preds: DLS's twin classes (frontierScan.admit)
+// arena-friendly form of preds: DLS's twin classes (twins.admit)
 // pack the pred lists of a release batch back to back.
 func (s *state) predsInto(buf []predInfo, v int) []predInfo {
 	base := len(buf)
@@ -389,7 +362,6 @@ func (s *state) probeAgainst(b *probeBuf, v, proc int, preds []predInfo, inc *in
 			return placement{}, true
 		}
 	}
-	commReady := ready
 	if s.appendOnly && s.compute[proc].LastEnd() > ready {
 		ready = s.compute[proc].LastEnd()
 		if inc != nil && !inc.beatenBy(ready+dur, j) {
@@ -405,14 +377,7 @@ func (s *state) probeAgainst(b *probeBuf, v, proc int, preds []predInfo, inc *in
 	} else {
 		start = sched.EarliestGap(ready, dur, sched.View{Base: &s.compute[proc], Extra: b.compute[proc]})
 	}
-	return placement{proc: proc, ready: commReady, start: start, finish: start + dur, comms: b.comms}, false
-}
-
-// stash copies a placement's comm events out of the probe scratch into the
-// probe buffer's stable stash, so the placement survives later probes.
-// Callers that keep a placement across probe cycles (DLS) must stash it.
-func (s *state) stash(pl placement) placement {
-	return stashPlacement(&s.buf().best, pl)
+	return placement{proc: proc, start: start, finish: start + dur, comms: b.comms}, false
 }
 
 // commit applies a placement: communication hops are reserved on the port
@@ -455,9 +420,6 @@ func (s *state) commit(v int, pl placement) {
 	}
 	s.compute[pl.proc].Add(pl.start, pl.finish)
 	s.sch.SetTask(v, pl.proc, pl.start, pl.finish)
-	if s.frontier != nil {
-		s.frontier.onCommit(v, pl)
-	}
 }
 
 // ownHops copies probe-scratch hops into the state's arena and returns a
@@ -584,25 +546,29 @@ func (s *state) startFrom(ready, dur float64, p int) float64 {
 	return ready
 }
 
-// earliestStart returns a lower bound on the start a probe of a task of
-// weight w on processor p would return, without probing, and the task's
-// execution time on p: readyBounds for the one candidate, then startFrom.
-// It is sound because a gap search never returns earlier from a later
-// start or on a superset of busy intervals (the probe searches the
-// committed timeline plus its own overlay).
-//
-// For a ready task the bound never decreases as commits add intervals: its
-// predecessor list is fixed, every release and the compute search are gap
-// searches on timelines that only gain intervals, and the same sums are
-// added in the same order. So a bound taken at one commit stays at or
-// below every later probe's start, which is what lets the DLS bound pass
-// record it (frontier.rebound).
-func (s *state) earliestStart(w float64, p int, preds []predInfo, rel []float64) (start, dur float64) {
-	var ready [1]float64
-	cand := [1]int{p}
-	s.readyBounds(ready[:], cand[:], preds, rel)
-	dur = s.pl.ExecTime(w, p)
-	return s.startFrom(ready[0], dur, p), dur
+// startBounds sets start[p], for every processor p, to a lower bound on
+// the start a probe of task v on p returns, without probing: readyBounds
+// from the predecessors' sender releases, then startFrom — bestEFT's
+// finish bound before it adds the execution time. The bound is sound
+// because a gap search never returns earlier from a later start or on a
+// superset of busy intervals (the probe searches the committed timeline
+// plus its own overlay). DLS turns it into a dynamic-level bound
+// (dlsStep), and the Exhaustive search adds the remaining bottom level.
+func (s *state) startBounds(start []float64, v int) {
+	preds := s.preds(v)
+	s.readyBounds(start, nil, preds, s.senderReleases(preds))
+	w := s.g.Weight(v)
+	for p, ready := range start {
+		start[p] = s.startFrom(ready, s.pl.ExecTime(w, p), p)
+	}
+}
+
+// scratchBounds returns the state's bound scratch resliced to n values.
+func (s *state) scratchBounds(n int) []float64 {
+	if cap(s.bounds) < n {
+		s.bounds = make([]float64, n)
+	}
+	return s.bounds[:n]
 }
 
 // bestEFT returns the placement of task v with the earliest finish time
@@ -612,25 +578,21 @@ func (s *state) earliestStart(w float64, p int, preds []predInfo, rel []float64)
 //
 // It probes only the candidates that can win. It bounds every candidate's
 // finish without probing — readyBounds for all of them at once, then
-// startFrom and the execution time, the bound earliestStart gives one
-// candidate — and the candidate with the smallest bound (ties by position)
-// is probed first, as the seed, and any other, in position
-// order, only while its bound can still beat the incumbent under
-// (finish, position). A candidate whose bound cannot beat the incumbent
-// cannot be the answer, so the result is exactly the placement the plain
-// loop over every candidate returns. A probed candidate's probe stops once
-// it cannot beat the incumbent (probeAgainst), and a probe that beats it
-// is stashed in the probe buffer.
+// startFrom and the execution time, as startBounds does for every
+// processor — and the candidate with the smallest bound (ties by position)
+// is probed first, as the seed, and any other, in position order, only
+// while its bound can still beat the incumbent under (finish, position). A candidate whose
+// bound cannot beat the incumbent cannot be the answer, so the result is
+// exactly the placement the plain loop over every candidate returns. A
+// probed candidate's probe stops once it cannot beat the incumbent
+// (probeAgainst), and a probe that beats it is stashed in the probe buffer.
 func (s *state) bestEFT(v int, candidates []int) placement {
-	preds := s.preds(v)
 	n := len(candidates)
 	if candidates == nil {
 		n = s.pl.NumProcs()
 	}
-	if cap(s.bounds) < n {
-		s.bounds = make([]float64, n)
-	}
-	bounds := s.bounds[:n]
+	bounds := s.scratchBounds(n)
+	preds := s.preds(v)
 	weight := s.g.Weight(v)
 	s.readyBounds(bounds, candidates, preds, s.senderReleases(preds))
 	seed := 0
@@ -695,7 +657,7 @@ func listOrder(g *graph.Graph, prio []float64) []int {
 // readyList maintains the set of ready tasks ordered by decreasing priority
 // (ties by increasing node id). It is an indexed binary max-heap: push, pop
 // and remove are O(log n) instead of the former sorted slice's O(n)
-// insertion shuffle, and the position index lets the frontier heuristics
+// insertion shuffle, and the position index lets the frontier heuristic
 // (DLS) remove an arbitrary selected task. The comparison is a total order
 // — priority desc, task id asc — so the pop sequence is exactly the sorted
 // order the old implementation produced, whatever the heap's internal
@@ -812,10 +774,9 @@ func (r *readyList) swap(i, j int) {
 // releaser tracks remaining in-degrees and reports which tasks become ready
 // once a task completes.
 type releaser struct {
-	g      *graph.Graph
-	indeg  []int
-	placed int
-	out    []int // scratch returned by release, reused across calls
+	g     *graph.Graph
+	indeg []int
+	out   []int // scratch returned by release, reused across calls
 }
 
 func newReleaser(g *graph.Graph) *releaser {
@@ -840,7 +801,6 @@ func (rl *releaser) initial() []int {
 // release marks v scheduled and returns the tasks that become ready. The
 // returned slice is scratch reused by the next release call.
 func (rl *releaser) release(v int) []int {
-	rl.placed++
 	out := rl.out[:0]
 	for _, a := range rl.g.Succ(v) {
 		rl.indeg[a.Node]--
@@ -851,6 +811,3 @@ func (rl *releaser) release(v int) []int {
 	rl.out = out
 	return out
 }
-
-// done reports whether every task has been scheduled.
-func (rl *releaser) done() bool { return rl.placed == rl.g.NumNodes() }

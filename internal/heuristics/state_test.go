@@ -66,15 +66,11 @@ func TestReleaser(t *testing.T) {
 	if out := rl.release(b); len(out) != 1 || out[0] != c {
 		t.Fatalf("release(b) = %v, want [c]", out)
 	}
-	if rl.done() {
-		t.Fatal("not done yet")
-	}
 	if out := rl.release(c); len(out) != 1 || out[0] != d {
 		t.Fatalf("release(c) = %v, want [d]", out)
 	}
-	rl.release(d)
-	if !rl.done() {
-		t.Fatal("should be done")
+	if out := rl.release(d); len(out) != 0 {
+		t.Fatalf("release(d) = %v, want none (d is a sink)", out)
 	}
 }
 

@@ -64,9 +64,8 @@ type Tuning struct {
 }
 
 // Scratch owns the probe scratch memory (the probe buffer, the predecessor
-// buffer, bestEFT's candidate bounds and sender releases and, for the
-// heuristics that use one, the frontier-probe engine) that a scheduler
-// state grows during a run. Reusing one Scratch across
+// buffer, and the bounds and sender releases of the pruned scans) that a
+// scheduler state grows during a run. Reusing one Scratch across
 // successive runs on platforms of the same size avoids re-allocating all of
 // it every time.
 // A Scratch may only feed one run at a time; see Tuning.
@@ -76,7 +75,6 @@ type Scratch struct {
 	predBuf  []predInfo
 	bounds   []float64
 	releases []float64
-	frontier *frontier
 }
 
 // NewScratch returns an empty Scratch; buffers are grown by the first run
@@ -87,17 +85,16 @@ func NewScratch() *Scratch { return &Scratch{} }
 // transfers: the Scratch is emptied so that a second state created while
 // the first is still running can never alias the same buffers (it simply
 // grows fresh ones). A probe buffer sized for a different processor count
-// is dropped — probeBuf slices are indexed by processor. The frontier
-// engine and bestEFT's bounds and releases size themselves to any (graph,
-// platform) pair, so they are always handed over.
+// is dropped — probeBuf slices are indexed by processor. The bounds and
+// releases size themselves to any (graph, platform) pair, so they are
+// always handed over.
 func (sc *Scratch) lend(s *state) {
 	if sc.procs == s.pl.NumProcs() && sc.buf != nil {
 		s.pbuf = sc.buf
 		s.predBuf = sc.predBuf[:0]
 	}
 	s.bounds, s.releases = sc.bounds, sc.releases
-	s.fmem = sc.frontier
-	sc.buf, sc.predBuf, sc.bounds, sc.releases, sc.frontier = nil, nil, nil, nil, nil
+	sc.buf, sc.predBuf, sc.bounds, sc.releases = nil, nil, nil, nil
 }
 
 // reclaim returns a finished state's (possibly grown) scratch buffers to
@@ -114,17 +111,6 @@ func (t *Tuning) reclaim(s *state) {
 	sc.buf = s.pbuf
 	sc.predBuf = s.predBuf
 	sc.bounds, sc.releases = s.bounds, s.releases
-	// the run either attached the lent engine (s.frontier) or never touched
-	// it (still parked in s.fmem); recover whichever is live, unbinding the
-	// dead state so a pooled Scratch does not pin its timelines and schedule
-	if s.frontier != nil {
-		sc.frontier = s.frontier
-	} else {
-		sc.frontier = s.fmem
-	}
-	if sc.frontier != nil {
-		sc.frontier.s = nil
-	}
 }
 
 // runCtx returns the run's cancellation context, nil-safe.

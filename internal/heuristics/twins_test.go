@@ -47,7 +47,7 @@ type twinCase struct {
 }
 
 // twinCases are the instances where DLS's ready list holds classes of
-// interchangeable tasks (frontierScan.admit): the paper's fork-join on 32
+// interchangeable tasks (twins.admit): the paper's fork-join on 32
 // processors (300 twins released by one commit), a fork with repeated
 // (weight, data) children, a bag of equal independent tasks, the two
 // tasks of probeOrderTwins, whose predecessor lists hold the same
@@ -146,12 +146,11 @@ func TestTwinClassesKeepProbeOrder(t *testing.T) {
 	if sl[x] != sl[y] || g.Weight(x) != g.Weight(y) {
 		t.Fatal("x and y must agree in weight and static level")
 	}
-	sc := &frontierScan{}
-	sc.resizeNext(g.NumNodes())
+	tw := newTwins(g.NumNodes())
 	ready := newReadyList(sl)
-	sc.admit(s, ready, sl, []int{y, x})
-	if ready.len() != 2 || sc.next[x] != -1 || sc.next[y] != -1 {
-		t.Fatalf("x and y merged: ready %v, next %v", ready.items(), sc.next)
+	tw.admit(s, ready, sl, []int{y, x})
+	if ready.len() != 2 || tw.next[x] != -1 || tw.next[y] != -1 {
+		t.Fatalf("x and y merged: ready %v, next %v", ready.items(), tw.next)
 	}
 
 	// equal independent tasks are twins: one class behind the lowest id,
@@ -166,15 +165,15 @@ func TestTwinClassesKeepProbeOrder(t *testing.T) {
 	if sl, err = priorities(bag, pl); err != nil {
 		t.Fatal(err)
 	}
-	sc.resizeNext(bag.NumNodes())
+	tw = newTwins(bag.NumNodes())
 	ready = newReadyList(sl)
-	sc.admit(s, ready, sl, []int{3, 1, 0, 2})
+	tw.admit(s, ready, sl, []int{3, 1, 0, 2})
 	if ready.len() != 1 || ready.items()[0] != 0 {
 		t.Fatalf("ready %v, want the class head 0 alone", ready.items())
 	}
 	for v, want := range []int32{1, 2, 3, -1} {
-		if sc.next[v] != want {
-			t.Fatalf("next[%d] = %d, want %d", v, sc.next[v], want)
+		if tw.next[v] != want {
+			t.Fatalf("next[%d] = %d, want %d", v, tw.next[v], want)
 		}
 	}
 }
@@ -185,15 +184,16 @@ func TestTwinClassesKeepProbeOrder(t *testing.T) {
 // change here must be deliberate. Before the bound-seeded bestEFT and
 // DLS's twin classes, the fork-join and HEFT runs issued 285,133 (DLS) and
 // 18,290 (HEFT) probes. Before probes stopped at the incumbent, the HEFT
-// run placed 20,777 messages; DLS's frontier probes always run in full, so
-// the cut left its messages as they were. Before finishBound waited for
-// each remote predecessor's sender release, the HEFT run issued 12,119
-// probes placing 16,187 messages. Before DLS's bound pass took a fresh
-// sender-release bound for each stale pair its recorded bound could not
-// rule out, and kept it in the entry (rebound), the DLS runs issued 9,887
-// probes placing 18,776 messages (fork-join) and 16,904 placing 29,921 (LU
-// under link contention, the instance a static bound for unprobed pairs
-// once made slower).
+// run placed 20,777 messages; DLS's probes always run in full, so the cut
+// left its messages as they were. Before finishBound waited for each
+// remote predecessor's sender release, the HEFT run issued 12,119 probes
+// placing 16,187 messages. While DLS cached pair scores across steps, the
+// DLS runs issued 9,887 probes placing 18,776 messages (fork-join) and
+// 16,904 placing 29,921 (LU under link contention, the instance a static
+// bound for unprobed pairs once made slower), then, with a fresh
+// sender-release bound recorded in each stale pair, 716 placing 448 and
+// 2,416 placing 3,352. Bounding every pair afresh at every step (dlsStep),
+// with no cache and no re-probe of the winner, gives the counts below.
 func TestProbeCounts(t *testing.T) {
 	cases := []struct {
 		name         string
@@ -202,10 +202,10 @@ func TestProbeCounts(t *testing.T) {
 	}{
 		{"dls/forkjoin300/p32/one-port", func(tune *Tuning) (*sched.Schedule, error) {
 			return dlsRun(testbeds.ForkJoin(300, 10), seededPlatform(t, 1, 32), sched.OnePort, tune)
-		}, 716, 448},
+		}, 302, 224},
 		{"dls/lu30/p32/link-contention", func(tune *Tuning) (*sched.Schedule, error) {
 			return dlsRun(testbeds.LU(30, 10), seededPlatform(t, 1, 32), sched.LinkContention, tune)
-		}, 2416, 3352},
+		}, 2596, 3593},
 		{"heft/lu60/paper/one-port", func(tune *Tuning) (*sched.Schedule, error) {
 			return eftSchedule("heft", testbeds.LU(60, 10), platform.Paper(), sched.OnePort, tune)
 		}, 3656, 4793},

@@ -171,18 +171,6 @@ type View struct {
 // O(k·log n) for the initial positioning plus O(total intervals walked),
 // instead of a fresh binary search per conflict.
 func EarliestGap(after, dur float64, views ...View) float64 {
-	t, _ := EarliestGapMoved(after, dur, views...)
-	return t
-}
-
-// EarliestGapMoved is EarliestGap that also reports whether an overlay moved
-// the window: from is the candidate start an overlay interval (some view's
-// Extra) first pushed the search away from, or t itself when none did, so
-// from < t exactly when an overlay moved the window. Up to that push the
-// walk is the one the committed timelines alone would make, and a walk only
-// moves forward, so from lower-bounds the gap the committed timelines alone
-// give, and equals it when no overlay moved the window.
-func EarliestGapMoved(after, dur float64, views ...View) (t, from float64) {
 	// index storage: stack-allocated for the common arities (<= 4 views)
 	var biArr, eiArr [4]int
 	bi, ei := biArr[:], eiArr[:]
@@ -198,8 +186,7 @@ func EarliestGapMoved(after, dur float64, views ...View) (t, from float64) {
 		iv := v.Base.iv
 		bi[i] = sort.Search(len(iv), func(j int) bool { return iv[j].End > after })
 	}
-	t = after
-	from = math.Inf(1)
+	t := after
 	for {
 		moved := false
 		for i := range views {
@@ -225,13 +212,12 @@ func EarliestGapMoved(after, dur float64, views ...View) (t, from float64) {
 			}
 			ei[i] = j
 			if j < len(v.Extra) && v.Extra[j].Start < t+dur && v.Extra[j].End > t {
-				from = min(from, t)
 				t = v.Extra[j].End
 				moved = true
 			}
 		}
 		if !moved {
-			return t, min(from, t)
+			return t
 		}
 	}
 }

@@ -111,17 +111,6 @@ func TestEarliestGapWithExtras(t *testing.T) {
 	if got := EarliestGap(0, 0, v); got != 0 {
 		t.Errorf("zero-dur EarliestGap = %g, want 0", got)
 	}
-	// the overlay pushed the window from 2, where the committed timeline
-	// alone places it, to 5: reported as moved from 2
-	if got, from := EarliestGapMoved(0, 1, v); got != 5 || from != 2 {
-		t.Errorf("EarliestGapMoved = %g from %g; want 5 from 2", got, from)
-	}
-	// only the committed interval pushes a window asked for from 0 with the
-	// overlay past it: not moved, and the base alone gives the same answer
-	late := View{Base: &base, Extra: []Interval{{Start: 10, End: 12}}}
-	if got, from := EarliestGapMoved(0, 1, late); got != 2 || from != 2 {
-		t.Errorf("EarliestGapMoved = %g from %g; want 2 from 2", got, from)
-	}
 }
 
 func TestAddExtraKeepsOrder(t *testing.T) {

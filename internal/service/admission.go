@@ -45,8 +45,8 @@ const expensiveCost = 2000
 
 // heuristicWeight scales a request's task count into cost units: the
 // rough per-task compute multiple of each heuristic class relative to a
-// single HEFT probe sweep. DLS re-scores every (ready task × processor)
-// pair per commit even through the frontier cache, so it dominates; ILHA
+// single HEFT probe sweep. DLS bounds every (ready task × processor) pair
+// per commit and probes those that can still win, so it dominates; ILHA
 // runs its chunked scan on top of HEFT-shaped probes; the listing
 // baselines are sub-probe trivial.
 var heuristicWeight = map[string]float64{

@@ -194,9 +194,8 @@ func (s *Server) RecoverSessions(ctx context.Context) (recovered, failed int, er
 // probe buffers sized for a different processor count: one shared pool
 // would let a mixed workload (10-proc paper requests interleaved with
 // 4-proc cluster requests) thrash every borrowed Scratch back to empty,
-// while per-shape pools keep each platform family's buffers — and the
-// frontier engine they carry, which now warm-resets in O(1) — hot across
-// requests.
+// while per-shape pools keep each platform family's probe buffers hot
+// across requests.
 func (s *Server) scratchPool(procs int) *sync.Pool {
 	if p, ok := s.scratch.Load(procs); ok {
 		return p.(*sync.Pool)

@@ -1,7 +1,7 @@
 // Package session implements the scheduling-session subsystem: long-lived
 // server-side sessions that hold a live (graph, platform, heuristic) triple
-// plus the warm scheduling state — probe Scratch, frontier engine, and the
-// previous run's commit order and schedule — so a client can stream deltas
+// plus the warm scheduling state — probe Scratch and the previous run's
+// commit order and schedule — so a client can stream deltas
 // and get back a re-schedule that replays the untouched prefix instead of
 // recomputing from scratch (heuristics.RunIncremental).
 //
@@ -12,7 +12,7 @@
 // per-session mutex — concurrent deltas never interleave or tear state —
 // while different sessions run concurrently.
 //
-// The warm state itself (Scratch, frontier engine, recorded run) is
+// The warm state itself (Scratch, recorded run) is
 // pointer-rich process memory and is never shipped anywhere. What makes
 // sessions durable and relocatable anyway is determinism: a session's
 // state is a pure function of (open request, ordered delta log) — the
