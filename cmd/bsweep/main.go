@@ -12,7 +12,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"sort"
 
 	"oneport/internal/cli"
 	"oneport/internal/exp"
@@ -46,18 +45,12 @@ func run(testbed string, size int, bsSpec string, scanDepth int, modelName strin
 	}
 	var bs []int
 	if bsSpec == "" {
-		max, err := pl.PerfectBalanceCount()
-		if err != nil {
-			return err
-		}
-		for b := 1; b <= max; b++ {
-			bs = append(bs, b)
-		}
+		bs, err = exp.DefaultBs(pl)
 	} else {
 		bs, err = cli.ParseInts(bsSpec)
-		if err != nil {
-			return err
-		}
+	}
+	if err != nil {
+		return err
 	}
 
 	g, err := testbeds.ByName(testbed, size, exp.CommRatio)
@@ -77,30 +70,21 @@ func run(testbed string, size int, bsSpec string, scanDepth int, modelName strin
 	fmt.Printf("HEFT reference speedup: %.4f\n", seq/heft.Makespan())
 	fmt.Printf("%6s %12s %12s\n", "B", "speedup", "comms")
 
-	type row struct {
-		b     int
-		sp    float64
-		comms int
-	}
-	var rows []row
+	var rows []exp.BPoint
 	for _, b := range bs {
-		s, err := heuristics.ILHA(g, pl, model, heuristics.ILHAOptions{B: b, ScanDepth: scanDepth})
+		p, err := exp.RunBPoint(g, pl, model, b, scanDepth, nil)
 		if err != nil {
 			return err
 		}
-		if err := sched.Validate(g, pl, s, model); err != nil {
-			return fmt.Errorf("B=%d: %w", b, err)
-		}
-		rows = append(rows, row{b: b, sp: seq / s.Makespan(), comms: s.CommCount()})
+		rows = append(rows, p)
 	}
 	best := rows[0]
 	for _, r := range rows {
-		fmt.Printf("%6d %12.4f %12d\n", r.b, r.sp, r.comms)
-		if r.sp > best.sp {
+		fmt.Printf("%6d %12.4f %12d\n", r.B, r.Speedup, r.Comms)
+		if r.Speedup > best.Speedup {
 			best = r
 		}
 	}
-	sort.SliceStable(rows, func(i, j int) bool { return rows[i].sp > rows[j].sp })
-	fmt.Printf("best B = %d (speedup %.4f)\n", best.b, best.sp)
+	fmt.Printf("best B = %d (speedup %.4f)\n", best.B, best.Speedup)
 	return nil
 }

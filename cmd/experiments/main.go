@@ -117,17 +117,9 @@ func run(figID, sizesSpec, modelName string, csv bool, server string) error {
 	if err != nil {
 		return err
 	}
-	var sizes []int
-	switch sizesSpec {
-	case "quick":
-		sizes = exp.QuickSizes()
-	case "paper":
-		sizes = exp.PaperSizes()
-	default:
-		sizes, err = cli.ParseInts(sizesSpec)
-		if err != nil {
-			return err
-		}
+	sizes, err := exp.ParseSizes(sizesSpec)
+	if err != nil {
+		return err
 	}
 	figs := exp.Figures
 	if figID != "all" {

@@ -317,16 +317,9 @@ func coordinateFigure(figID, sizesSpec, modelName, shards string) error {
 	if err != nil {
 		return err
 	}
-	var sizes []int
-	switch sizesSpec {
-	case "quick":
-		sizes = exp.QuickSizes()
-	case "paper":
-		sizes = exp.PaperSizes()
-	default:
-		if sizes, err = cli.ParseInts(sizesSpec); err != nil {
-			return err
-		}
+	sizes, err := exp.ParseSizes(sizesSpec)
+	if err != nil {
+		return err
 	}
 
 	co := &sweep.Coordinator{Workers: workers}
@@ -357,14 +350,11 @@ func coordinateBSweep(testbed string, size int, bsSpec string, scanDepth int, mo
 	}
 	var bs []int
 	if bsSpec == "" {
-		max, err := platform.Paper().PerfectBalanceCount()
-		if err != nil {
-			return err
-		}
-		for b := 1; b <= max; b++ {
-			bs = append(bs, b)
-		}
-	} else if bs, err = cli.ParseInts(bsSpec); err != nil {
+		bs, err = exp.DefaultBs(platform.Paper())
+	} else {
+		bs, err = cli.ParseInts(bsSpec)
+	}
+	if err != nil {
 		return err
 	}
 

@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"strings"
 
+	"oneport/internal/cli"
 	"oneport/internal/graph"
 	"oneport/internal/heuristics"
 	"oneport/internal/platform"
@@ -57,6 +58,18 @@ func PaperSizes() []int { return []int{100, 150, 200, 250, 300, 350, 400, 450, 5
 // QuickSizes returns a reduced size sweep for tests and default benchmarks;
 // the curves' shapes (who wins, trends) are already stable at these sizes.
 func QuickSizes() []int { return []int{20, 40, 60, 80} }
+
+// ParseSizes resolves a sizes spec: "quick" (QuickSizes), "paper"
+// (PaperSizes) or a comma list like "50,100".
+func ParseSizes(spec string) ([]int, error) {
+	switch spec {
+	case "quick":
+		return QuickSizes(), nil
+	case "paper":
+		return PaperSizes(), nil
+	}
+	return cli.ParseInts(spec)
+}
 
 // Point is one x-position of a figure: both heuristics at one problem size.
 type Point struct {
@@ -175,19 +188,55 @@ func BSweep(testbed string, n int, pl *platform.Platform, model sched.Model, bs 
 	if err != nil {
 		return nil, err
 	}
-	seq := pl.SequentialTime(g.TotalWeight())
 	out := make(map[int]float64, len(bs))
 	for _, b := range bs {
-		s, err := heuristics.ILHA(g, pl, model, heuristics.ILHAOptions{B: b})
+		p, err := RunBPoint(g, pl, model, b, 0, nil)
 		if err != nil {
 			return nil, err
 		}
-		if err := sched.Validate(g, pl, s, model); err != nil {
-			return nil, fmt.Errorf("B=%d: %w", b, err)
-		}
-		out[b] = seq / s.Makespan()
+		out[b] = p.Speedup
 	}
 	return out, nil
+}
+
+// BPoint is one point of a B-sweep: the speedup and message count of ILHA
+// at chunk size B.
+type BPoint struct {
+	B       int
+	Speedup float64
+	Comms   int
+}
+
+// RunBPoint schedules g with ILHA at chunk size b and Step-1 scan depth
+// scan, validates the schedule and returns its B point; tune, when
+// non-nil, lends the run its scratch (a Tuning never changes a schedule).
+func RunBPoint(g *graph.Graph, pl *platform.Platform, model sched.Model, b, scan int, tune *heuristics.Tuning) (BPoint, error) {
+	ilha, err := heuristics.ByNameTuned("ilha", heuristics.ILHAOptions{B: b, ScanDepth: scan}, tune)
+	if err != nil {
+		return BPoint{}, err
+	}
+	s, err := ilha(g, pl, model)
+	if err != nil {
+		return BPoint{}, err
+	}
+	if err := sched.Validate(g, pl, s, model); err != nil {
+		return BPoint{}, fmt.Errorf("B=%d: %w", b, err)
+	}
+	return BPoint{B: b, Speedup: pl.SequentialTime(g.TotalWeight()) / s.Makespan(), Comms: s.CommCount()}, nil
+}
+
+// DefaultBs returns the default B-sweep: every chunk size from 1 to the
+// platform's perfect-balance count (38 on the paper platform).
+func DefaultBs(pl *platform.Platform) ([]int, error) {
+	max, err := pl.PerfectBalanceCount()
+	if err != nil {
+		return nil, err
+	}
+	bs := make([]int, max)
+	for i := range bs {
+		bs[i] = i + 1
+	}
+	return bs, nil
 }
 
 // SpeedupBound returns the §5.2 upper bound on any speedup for the platform

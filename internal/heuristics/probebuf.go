@@ -53,6 +53,21 @@ func newProbeBuf(p int) *probeBuf {
 	}
 }
 
+// fit resets the buf and sizes its per-processor overlays for p
+// processors, keeping their capacity: the reset empties every overlay, so
+// whatever a shrink leaves beyond p is empty when a grow takes it back.
+func (b *probeBuf) fit(p int) {
+	b.reset()
+	b.send, b.recv, b.compute = fitOverlays(b.send, p), fitOverlays(b.recv, p), fitOverlays(b.compute, p)
+}
+
+func fitOverlays(o [][]sched.Interval, p int) [][]sched.Interval {
+	if p > cap(o) {
+		o = append(o[:cap(o)], make([][]sched.Interval, p-cap(o))...)
+	}
+	return o[:p]
+}
+
 // reset clears the overlays, wires and comm events, retaining all
 // capacity. It is O(resources touched by the previous probe).
 func (b *probeBuf) reset() {

@@ -66,11 +66,10 @@ type Tuning struct {
 // Scratch owns the probe scratch memory (the probe buffer, the predecessor
 // buffer, and the bounds and sender releases of the pruned scans) that a
 // scheduler state grows during a run. Reusing one Scratch across
-// successive runs on platforms of the same size avoids re-allocating all of
+// successive runs, on platforms of any size, avoids re-allocating all of
 // it every time.
 // A Scratch may only feed one run at a time; see Tuning.
 type Scratch struct {
-	procs    int // processor count the probe buffer is sized for
 	buf      *probeBuf
 	predBuf  []predInfo
 	bounds   []float64
@@ -84,15 +83,14 @@ func NewScratch() *Scratch { return &Scratch{} }
 // lend moves the scratch buffers into a freshly created state. Ownership
 // transfers: the Scratch is emptied so that a second state created while
 // the first is still running can never alias the same buffers (it simply
-// grows fresh ones). A probe buffer sized for a different processor count
-// is dropped — probeBuf slices are indexed by processor. The bounds and
-// releases size themselves to any (graph, platform) pair, so they are
-// always handed over.
+// grows fresh ones). The probe buffer is fitted to the state's processor
+// count — its overlays are indexed by processor; the other buffers size
+// themselves to any (graph, platform) pair.
 func (sc *Scratch) lend(s *state) {
-	if sc.procs == s.pl.NumProcs() && sc.buf != nil {
-		s.pbuf = sc.buf
-		s.predBuf = sc.predBuf[:0]
+	if sc.buf != nil {
+		sc.buf.fit(s.pl.NumProcs())
 	}
+	s.pbuf, s.predBuf = sc.buf, sc.predBuf[:0]
 	s.bounds, s.releases = sc.bounds, sc.releases
 	sc.buf, sc.predBuf, sc.bounds, sc.releases = nil, nil, nil, nil
 }
@@ -107,7 +105,6 @@ func (t *Tuning) reclaim(s *state) {
 		return
 	}
 	sc := t.Scratch
-	sc.procs = s.pl.NumProcs()
 	sc.buf = s.pbuf
 	sc.predBuf = s.predBuf
 	sc.bounds, sc.releases = s.bounds, s.releases

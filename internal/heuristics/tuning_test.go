@@ -92,39 +92,46 @@ func sameSchedule(a, b *sched.Schedule) error {
 }
 
 // TestScratchReuse checks that one Scratch recycled across runs keeps
-// producing identical schedules, including across a platform-size change
-// (mismatched buffers must be dropped, not reused out of bounds).
+// producing the schedules of a fresh Scratch while the platform size
+// changes under it: 3, then 32, then 10 processors, so the probe buffer
+// grows past its capacity and then shrinks, then the routed line4, under
+// every model (link contention routes on line4), for HEFT, ILHA and DLS.
+// The second pass starts from the buffers the first one left. One-port
+// comes last: the final DLS probe on 32 processors leaves processor 17's
+// receive overlay in use, which the shrink to 10 must clear first.
 func TestScratchReuse(t *testing.T) {
-	pl := platform.Paper()
 	small, err := platform.Homogeneous(3)
 	if err != nil {
 		t.Fatal(err)
 	}
+	platforms := []*platform.Platform{small, seededPlatform(t, 1, 32), platform.Paper(), linePlatform(4)}
 	g := testbeds.LU(10, 10)
-	want, err := HEFT(g, pl, sched.OnePort)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantSmall, err := HEFT(g, small, sched.OnePort)
-	if err != nil {
-		t.Fatal(err)
-	}
-
 	tune := &Tuning{Scratch: NewScratch()}
-	for rep := 0; rep < 3; rep++ {
-		got, err := eftSchedule("heft", g, pl, sched.OnePort, tune)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := sameSchedule(want, got); err != nil {
-			t.Fatalf("rep %d: %v", rep, err)
-		}
-		gotSmall, err := eftSchedule("heft", g, small, sched.OnePort, tune)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := sameSchedule(wantSmall, gotSmall); err != nil {
-			t.Fatalf("rep %d (small platform): %v", rep, err)
+	for rep := 0; rep < 2; rep++ {
+		for _, pl := range platforms {
+			for _, model := range []sched.Model{sched.MacroDataflow, sched.LinkContention, sched.UniPort, sched.OnePortNoOverlap, sched.OnePort} {
+				for _, name := range []string{"heft", "ilha", "dls"} {
+					fresh, err := ByNameTuned(name, ILHAOptions{}, &Tuning{Scratch: NewScratch()})
+					if err != nil {
+						t.Fatal(err)
+					}
+					want, err := fresh(g, pl, model)
+					if err != nil {
+						t.Fatal(err)
+					}
+					reused, err := ByNameTuned(name, ILHAOptions{}, tune)
+					if err != nil {
+						t.Fatal(err)
+					}
+					got, err := reused(g, pl, model)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if err := sameSchedule(want, got); err != nil {
+						t.Fatalf("rep %d, %s on %d processors, %s: %v", rep, name, pl.NumProcs(), model, err)
+					}
+				}
+			}
 		}
 	}
 }

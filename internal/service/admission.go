@@ -5,17 +5,17 @@ import (
 	"errors"
 	"math"
 	"net/http"
-	"strconv"
 	"time"
 
 	"oneport/internal/service/admit"
 )
 
 // This file binds the admission-control subsystem (internal/service/admit)
-// into the serving path: request cost estimation, priority classification,
-// tenant extraction, and the shed-response plumbing. Admission is opt-in
-// (Config.Admission); without it the compute pool is guarded by the bare
-// semaphore exactly as before.
+// into the serving path: the gate every scheduler run a client request
+// starts passes (acquire), request cost estimation, priority
+// classification, tenant extraction, and the shed response. Admission is
+// opt-in (Config.Admission); without it the gate is the bare pool
+// semaphore.
 //
 // The classification contract, from cheapest to most sheddable:
 //
@@ -111,40 +111,55 @@ type lane struct {
 	cost   float64
 }
 
-// laneFor builds the default lane for a library-path request.
-func (s *Server) laneFor(req *Request) lane {
+// clientLane is the lane of a client request's cold run: the request's
+// class and cost, the tenant of its API key, and its client's context, so
+// a queued request whose client hangs up (or whose deadline passes)
+// leaves the admission queue without ever consuming a pool slot.
+func clientLane(r *http.Request, req *Request) lane {
 	class, cost := classifyRequest(req)
-	return lane{ctx: context.Background(), tenant: defaultTenant, class: class, cost: cost}
+	return lane{ctx: r.Context(), tenant: tenantOf(r), class: class, cost: cost}
 }
 
-// shedResponse converts an admission failure into the 503 response shape.
-// A ShedError carries the drain-rate Retry-After; a bare context error
-// means the client hung up while queued (it gets a nominal retry hint —
-// nobody is listening).
+// acquire is the gate in front of every scheduler run a client request
+// starts: with admission on, an admission ticket, decided before any pool
+// slot is taken — the ticket IS the slot (admit.Config.Slots mirrors
+// PoolSize), so the bare semaphore is bypassed, as two gates would
+// deadlock under burst; without admission, a pool slot. The caller hands
+// the ticket (nil without admission) back to release.
+func (s *Server) acquire(ln lane) (*admit.Ticket, error) {
+	if s.admission != nil {
+		return s.admission.Acquire(ln.ctx, ln.tenant, ln.class, ln.cost)
+	}
+	s.sem <- struct{}{}
+	return nil, nil
+}
+
+// release returns what acquire took.
+func (s *Server) release(tk *admit.Ticket) {
+	if tk != nil {
+		tk.Release()
+		return
+	}
+	<-s.sem
+}
+
+// shedResponse converts an admission failure into the 503 response. A
+// ShedError carries the drain-rate Retry-After; a bare context error means
+// the client hung up while queued (it gets a nominal retry hint — nobody
+// is listening).
 func (s *Server) shedResponse(key string, err error) Response {
 	s.shed.Add(1)
-	var se *admit.ShedError
-	if errors.As(err, &se) {
-		return Response{
-			Key:        key,
-			Error:      "service: " + se.Error(),
-			shed:       true,
-			retryAfter: ceilSeconds(se.RetryAfter),
-		}
-	}
-	return Response{
+	resp := Response{
 		Key:        key,
 		Error:      "service: request abandoned while queued for admission: " + err.Error(),
-		shed:       true,
+		code:       http.StatusServiceUnavailable,
 		retryAfter: 1,
 	}
-}
-
-// writeShed answers one shed request: 503 with the numeric Retry-After.
-func (s *Server) writeShed(w http.ResponseWriter, err error) {
-	resp := s.shedResponse("", err)
-	w.Header().Set("Retry-After", strconv.Itoa(resp.retryAfter))
-	writeJSON(w, http.StatusServiceUnavailable, Response{Error: resp.Error})
+	var se *admit.ShedError
+	if errors.As(err, &se) {
+		resp.Error, resp.retryAfter = "service: "+se.Error(), ceilSeconds(se.RetryAfter)
+	}
+	return resp
 }
 
 // retryAfterSeconds is the service-wide backoff hint for 503 responses

@@ -454,10 +454,12 @@ func TestRequestTimeout(t *testing.T) {
 // bytes straight through to its client — no staging, no adoption — and
 // repeats relay again rather than serving a truncated or stale copy.
 func TestStreamedPeerRelay(t *testing.T) {
-	srvA, srvB, aURL, bURL := replicaPair(t, nil, nil, func(c *Config) { c.StreamBytes = 1 })
+	srvA, srvB, aURL, bURL := replicaPair(t, nil, nil, nil)
+	srvA.streamAt, srvB.streamAt = 1, 1
 	payload := ownedPayloads(t, aURL, bURL, 1)[0]
 
-	ref := New(Config{StreamBytes: 1})
+	ref := New(Config{})
+	ref.streamAt = 1
 	refH := ref.Handler()
 	_, want := postRaw(refH, payload)
 

@@ -3,6 +3,7 @@ package service
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"strconv"
 	"sync"
 
@@ -20,16 +21,26 @@ import (
 // escape its DisallowUnknownFields.
 
 // decodeRequest decodes one request body into req: the single-pass reader
-// first and, for any body outside its subset, the strict encoding/json
-// decoder, which is the reference and the only source of error texts.
+// first and, for any body outside its subset, decodeStrict, which is the
+// reference and the only source of error texts.
 func decodeRequest(body []byte, req *Request) error {
 	if readRequest(body, req) {
 		return nil
 	}
 	*req = Request{}
+	return decodeStrict(body, req)
+}
+
+// decodeStrict is the service's one strict decoder: encoding/json decodes
+// the first JSON value of body into dst and refuses unknown fields. The
+// error is the 400's text.
+func decodeStrict(body []byte, dst any) error {
 	dec := json.NewDecoder(bytes.NewReader(body))
 	dec.DisallowUnknownFields()
-	return dec.Decode(req)
+	if err := dec.Decode(dst); err != nil {
+		return fmt.Errorf("service: bad request body: %w", err)
+	}
+	return nil
 }
 
 // readRequest is the single-pass reader for a whole request body: exact

@@ -82,7 +82,7 @@ func (s *Server) handleRingPost(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var u ringUpdate
-	if err := decodeJSON(w, r, &u); err != nil {
+	if err := decodeBody(w, r, &u); err != nil {
 		writeJSON(w, http.StatusBadRequest, adminError{Error: err.Error()})
 		return
 	}

@@ -29,7 +29,7 @@ func luPayload(t *testing.T, n int) []byte {
 }
 
 // TestPanicRecovery pins the panic-hardened compute path: a panicking
-// heuristic must become a 500 serverFault response — never a process crash —
+// heuristic must become a 500 response — never a process crash —
 // the pooled Scratch must flow back (the pool stays usable), and the fault
 // must count in errors. Panics cannot be reached through valid inputs, so
 // the test injects one via the compute hook.
@@ -120,6 +120,7 @@ func TestProbeParallelismKeepsSchedule(t *testing.T) {
 // deterministic rather than timing-dependent.
 func TestSingleflightColdRequests(t *testing.T) {
 	srv := New(Config{PoolSize: 2})
+	handler := srv.Handler()
 	gate := make(chan struct{})
 	var computes atomic.Int64
 	srv.testHook = func(*Request) {
@@ -128,14 +129,15 @@ func TestSingleflightColdRequests(t *testing.T) {
 	}
 
 	const n = 8
-	results := make([]Response, n)
+	payload := luPayload(t, 12)
+	codes := make([]int, n)
+	bodies := make([][]byte, n)
 	var wg sync.WaitGroup
 	for i := 0; i < n; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			req := Request{Graph: testbeds.LU(12, 10), Platform: platform.Paper(), Heuristic: "heft"}
-			results[i] = srv.Run(&req)
+			codes[i], bodies[i] = postRaw(handler, payload)
 		}(i)
 	}
 	deadline := time.Now().Add(10 * time.Second)
@@ -155,19 +157,12 @@ func TestSingleflightColdRequests(t *testing.T) {
 	if st.CacheMisses != 1 || st.Coalesced != n-1 || st.CacheHits != 0 {
 		t.Fatalf("flight accounting off: %+v", st)
 	}
-	want, err := json.Marshal(results[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if results[0].Error != "" || results[0].Schedule == nil {
-		t.Fatalf("leader response invalid: %+v", results[0])
+	var first Response
+	if err := json.Unmarshal(bodies[0], &first); err != nil || codes[0] != http.StatusOK || first.Error != "" || first.Schedule == nil {
+		t.Fatalf("leader response invalid: %d %s", codes[0], bodies[0])
 	}
 	for i := 1; i < n; i++ {
-		got, err := json.Marshal(results[i])
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(got, want) {
+		if codes[i] != codes[0] || !bytes.Equal(bodies[i], bodies[0]) {
 			t.Fatalf("caller %d received a different response", i)
 		}
 	}
@@ -326,7 +321,8 @@ func TestPeerDownDegradesToLocal(t *testing.T) {
 // repeats hit the canonical cache and stream again, so multi-megabyte
 // bodies are never held in pooled buffers or duplicated into the cache.
 func TestStreamedResponses(t *testing.T) {
-	srv := New(Config{StreamBytes: 1}) // everything is "large"
+	srv := New(Config{})
+	srv.streamAt = 1 // everything is "large"
 	handler := srv.Handler()
 	payload := luPayload(t, 12)
 
@@ -369,8 +365,8 @@ func TestStreamedResponses(t *testing.T) {
 		t.Fatalf("streamed batch content wrong: %+v", bresp)
 	}
 
-	// sanity: with streaming disabled the same flow does attach the index
-	plain := New(Config{StreamBytes: -1})
+	// sanity: below the threshold the same flow does attach the index
+	plain := New(Config{})
 	ph := plain.Handler()
 	postRaw(ph, payload)
 	postRaw(ph, payload)
@@ -423,21 +419,15 @@ func TestPeerFillSingleFetch(t *testing.T) {
 	defer stub.Close()
 
 	payload := ownedPayloads(t, self, stub.URL, 1)[0]
-	var req Request
-	if err := json.Unmarshal(payload, &req); err != nil {
-		t.Fatal(err)
+	// the owner's reply is a single replica's cache-hit bytes: its repeat
+	refH := New(Config{}).Handler()
+	if code, body := postRaw(refH, payload); code != http.StatusOK {
+		t.Fatalf("reference run failed: %d %s", code, body)
 	}
-	ref := New(Config{}).Run(&req)
-	if ref.Error != "" {
-		t.Fatalf("reference run failed: %+v", ref)
+	code, enc := postRaw(refH, payload)
+	if code != http.StatusOK || !bytes.Contains(enc, []byte(`"cached":true`)) {
+		t.Fatalf("reference repeat not a cache hit: %d %s", code, enc)
 	}
-	hit := ref
-	hit.Cached = true
-	enc, err := json.Marshal(hit)
-	if err != nil {
-		t.Fatal(err)
-	}
-	enc = append(enc, '\n')
 	canned.Store(&enc)
 
 	srv := New(Config{Self: self, Peers: []string{self, stub.URL}})

@@ -10,7 +10,6 @@ import (
 	"fmt"
 	"net/http"
 	"runtime"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -29,25 +28,23 @@ import (
 // server).
 const maxBodyBytes = 64 << 20
 
-// defaultStreamBytes is the default Config.StreamBytes: responses whose
-// estimated encoding exceeds 1 MiB are streamed straight to the wire
-// instead of staged in pooled buffers.
-const defaultStreamBytes = 1 << 20
+// streamBytes is the streaming threshold: responses whose estimated
+// encoding exceeds 1 MiB are encoded straight to the wire instead of
+// staged in pooled buffers, and their cache entries get no encoded bytes.
+const streamBytes = 1 << 20
 
 // Config sizes a Server.
 type Config struct {
 	// PoolSize bounds the number of concurrently executing scheduler runs
-	// (default: GOMAXPROCS). Requests beyond it queue on the pool, not in
-	// new goroutine pile-ups.
+	// (default: GOMAXPROCS): every run a client request starts — a cold
+	// /schedule or /cache/peer run, a /batch job, a session open — first
+	// takes one of its slots (with Admission, an admission ticket), so
+	// requests beyond it queue on the pool, not in new goroutine pile-ups.
+	// Session deltas, imports and journal recovery run outside the pool.
 	PoolSize int
 	// CacheSize is the LRU result-cache capacity in entries (default 256;
 	// negative disables caching).
 	CacheSize int
-	// StreamBytes is the response-size estimate above which the server
-	// encodes straight to the ResponseWriter instead of buffering the whole
-	// body (and skips the encoded byte index for that entry). 0 uses
-	// defaultStreamBytes; negative disables streaming entirely.
-	StreamBytes int
 
 	// Self is this replica's advertised base URL (e.g. "http://h1:8642")
 	// and Peers the full replica list of the distributed encoded-response
@@ -108,7 +105,7 @@ type Config struct {
 type Server struct {
 	cfg       Config
 	sem       chan struct{}
-	scratch   sync.Map // procs int -> *sync.Pool of *heuristics.Scratch
+	scratch   sync.Pool // *heuristics.Scratch, for platforms of every size
 	cache     *resultCache
 	flights   flightGroup
 	peers     *peerSet          // nil: single-replica
@@ -135,6 +132,8 @@ type Server struct {
 	recovering       atomic.Bool  // journal replay in progress: readyz not-ready
 	sessionRedirects atomic.Int64 // session requests 307ed to the id's ring owner
 
+	// streamAt is the streaming threshold, streamBytes; tests lower it.
+	streamAt int
 	// testHook, when non-nil, runs inside run between the scratch borrow
 	// and the heuristic call. Tests use it to inject panics (the
 	// recovery path cannot be reached through valid inputs) and to gate
@@ -150,9 +149,6 @@ func New(cfg Config) *Server {
 	if cfg.CacheSize == 0 {
 		cfg.CacheSize = 256
 	}
-	if cfg.StreamBytes == 0 {
-		cfg.StreamBytes = defaultStreamBytes
-	}
 	var ctrl *admit.Controller
 	if cfg.Admission != nil {
 		ac := *cfg.Admission
@@ -164,12 +160,14 @@ func New(cfg Config) *Server {
 	s := &Server{
 		cfg:       cfg,
 		sem:       make(chan struct{}, cfg.PoolSize),
+		scratch:   sync.Pool{New: func() any { return heuristics.NewScratch() }},
 		cache:     newResultCache(cfg.CacheSize),
 		peers:     newPeerSet(cfg.Self, cfg.Peers, cfg.PeerClient, cfg.Breaker),
 		admission: ctrl,
 		sessions: session.NewManager(session.Config{
 			MaxSessions: cfg.MaxSessions, TTL: cfg.SessionTTL, Journal: cfg.SessionJournal}),
-		start: time.Now(),
+		start:    time.Now(),
+		streamAt: streamBytes,
 	}
 	// a journal directory may hold acked sessions: stay not-ready until
 	// RecoverSessions has replayed it, so a load balancer never routes a
@@ -189,104 +187,61 @@ func (s *Server) RecoverSessions(ctx context.Context) (recovered, failed int, er
 	return s.sessions.Recover(ctx)
 }
 
-// scratchPool returns the Scratch pool for platforms with the given
-// processor count. Pools are keyed by shape because Scratch.lend drops
-// probe buffers sized for a different processor count: one shared pool
-// would let a mixed workload (10-proc paper requests interleaved with
-// 4-proc cluster requests) thrash every borrowed Scratch back to empty,
-// while per-shape pools keep each platform family's probe buffers hot
-// across requests.
-func (s *Server) scratchPool(procs int) *sync.Pool {
-	if p, ok := s.scratch.Load(procs); ok {
-		return p.(*sync.Pool)
-	}
-	p, _ := s.scratch.LoadOrStore(procs, &sync.Pool{New: func() any { return heuristics.NewScratch() }})
-	return p.(*sync.Pool)
-}
-
-// Run executes one request: cache lookup, then a pooled scheduler run under
-// singleflight (concurrent identical cold requests share one run). It
-// never panics on malformed input; failures come back in Response.Error.
-// The returned Response is self-contained (its schedule is never mutated
-// later), so callers may hold or serialize it freely.
-func (s *Server) Run(req *Request) Response {
-	model, err := req.normalize()
-	if err != nil {
-		s.errors.Add(1)
-		return Response{Error: err.Error()}
-	}
-	key := CanonicalKey(req)
-	if resp, _, ok := s.cache.get(key); ok {
-		s.hits.Add(1)
-		return resp
-	}
-	return s.runFlight(req, key, model, s.laneFor(req))
-}
-
-// runFlight executes the scheduler for a normalized request under
-// singleflight: among concurrent identical cold requests — local clients,
-// batch jobs or peer-forwarded fills — exactly one runs the scheduler, the
-// rest wait and share its response (counted in coalesced). The leader
-// re-checks the cache because a flight that completed between a caller's
-// miss and its leadership has already populated the entry. The flight
-// also carries the encoded reply, for HTTP followers of this leader.
-func (s *Server) runFlight(req *Request, key string, model sched.Model, ln lane) Response {
-	resp, _ := s.flights.do(key,
-		func() { s.coalesced.Add(1) },
-		func() (Response, []byte) {
-			if resp, enc, ok := s.cache.get(key); ok {
-				s.hits.Add(1)
-				return resp, enc
-			}
-			s.misses.Add(1)
-			return s.compute(req, key, model, ln)
-		})
-	return resp
-}
-
-// maxServeAttempts bounds how many times one HTTP request re-enters the
+// maxServeAttempts bounds how many times one request enters the
 // singleflight after waiting out another caller's streamed peer relay
 // (streamed relays go to the leader's own client and are never cached, so
-// followers must retry). After the budget the request computes locally
-// outside the flight — bounded work, no livelock.
+// followers must retry).
 const maxServeAttempts = 3
 
-// serveFlight is the HTTP path's runFlight: the leader additionally tries a
-// peer fill before computing, so N concurrent identical cold requests on a
-// non-owner replica cost ONE owner fetch shared by all waiters — never N
-// full-body transfers — and the owner's own singleflight bounds the fleet
-// to one scheduler run. The returned enc, when non-nil, is the reply every
-// caller of the flight writes verbatim: the entry's hit bytes on a
-// canonical hit, the miss reply of a local run, or the owner's bytes after
-// a peer fill. nil means resp must be encoded (errors, streamed sizes).
+// serveFlight resolves a request below the byte index under singleflight:
+// among concurrent identical cold requests — clients, peer-forwarded fills
+// and batch jobs — one leader resolves the key by a canonical hit, a peer
+// fill (when fill is set) or a local compute, and the rest wait and share
+// its result (counted in coalesced). The leader re-checks the cache: a
+// flight that completed between a caller's miss and its leadership has
+// already filled the entry. A fill relays raw to the key's owner, so N
+// concurrent identical cold requests on a non-owner replica cost one owner
+// fetch — never N full-body transfers — and the owner's own flight bounds
+// the fleet to one run. enc, when non-nil, is the reply every caller
+// writes verbatim: the entry's hit bytes, a run's miss reply or the
+// owner's bytes; nil means resp must be encoded (errors, streamed sizes).
 //
-// A stream-marked owner response cannot be shared through the flight (the
-// body is a wire stream, not bytes): the leader carries it out as the
-// returned reply and streams it to its own client; followers see
-// resp.relayStreamed and retry.
-func (s *Server) serveFlight(req *Request, sum [sha256.Size]byte, key string, model sched.Model, fromPeer bool, raw []byte, ln lane) (Response, []byte, *relay.Reply) {
-	var stream *relay.Reply
-	resp, enc := s.flights.do(key,
-		func() { s.coalesced.Add(1) },
-		func() (Response, []byte) {
-			if resp, enc, ok := s.cache.get(key); ok {
-				s.hits.Add(1)
-				return resp, enc
-			}
-			if !fromPeer && s.peers != nil {
-				resp, enc, rep, ok := s.peerFill(ln.ctx, sum, key, raw, ln.tenant)
-				if rep != nil {
-					stream = rep
-					return Response{relayStreamed: true}, nil
-				}
-				if ok {
+// A stream-marked owner response is a wire stream, not bytes, so it cannot
+// be shared: the leader returns it for its own client, and followers see
+// resp.relayStreamed and retry; after maxServeAttempts a follower computes
+// outside the flight — bounded work, no livelock.
+func (s *Server) serveFlight(req *Request, sum [sha256.Size]byte, key string, model sched.Model, fill bool, raw []byte, ln lane) (Response, []byte, *relay.Reply) {
+	for attempt := 0; ; attempt++ {
+		var stream *relay.Reply
+		resp, enc := s.flights.do(key,
+			func() { s.coalesced.Add(1) },
+			func() (Response, []byte) {
+				if resp, enc, ok := s.cache.get(key); ok {
+					s.hits.Add(1)
 					return resp, enc
 				}
-			}
+				if fill && s.peers != nil {
+					resp, enc, rep, ok := s.peerFill(ln.ctx, sum, key, raw, ln.tenant)
+					if rep != nil {
+						stream = rep
+						return Response{relayStreamed: true}, nil
+					}
+					if ok {
+						return resp, enc
+					}
+				}
+				s.misses.Add(1)
+				return s.compute(req, key, model, ln)
+			})
+		if stream != nil || !resp.relayStreamed {
+			return resp, enc, stream
+		}
+		if attempt >= maxServeAttempts-1 {
 			s.misses.Add(1)
-			return s.compute(req, key, model, ln)
-		})
-	return resp, enc, stream
+			resp, enc = s.compute(req, key, model, ln)
+			return resp, enc, nil
+		}
+	}
 }
 
 // compute runs the scheduler for one request and caches a clean result.
@@ -306,41 +261,38 @@ func (s *Server) compute(req *Request, key string, model sched.Model, ln lane) (
 	return resp, miss
 }
 
-// run is compute's scheduler run, under admission or the pool semaphore.
-// It is panic-hardened: a panicking heuristic becomes a serverFault
-// response (HTTP 500) instead of escaping the "never panics" contract. The
-// pooled Scratch goes back via defer on every normal path; on a panic it
-// is deliberately dropped, not re-pooled: the heuristic's own reclaim
-// defer runs during unwinding and may have restocked it with the dead
-// run's buffers, which a panic can leave half-written — dropping the one
-// Scratch is the safe option, and the pool regrows a fresh one on demand.
+// run is compute's scheduler run, behind the gate (acquire): a shed is
+// answered before any pool slot is taken. It is panic-hardened: a
+// panicking heuristic becomes a 500 response instead of escaping the
+// "never panics" contract. The pooled Scratch goes back via defer on every
+// normal path; on a panic it is deliberately dropped, not re-pooled: the
+// heuristic's own reclaim defer runs during unwinding and may have
+// restocked it with the dead run's buffers, which a panic can leave
+// half-written — dropping the one Scratch is the safe option, and the pool
+// regrows a fresh one on demand.
 func (s *Server) run(req *Request, key string, model sched.Model, ln lane) (resp Response) {
-	if s.admission != nil {
-		// admission decides BEFORE any pool slot is taken: a shed costs
-		// queue bookkeeping only, never compute capacity. The ticket IS
-		// the slot (admit.Config.Slots mirrors PoolSize), so the bare
-		// semaphore is bypassed — two gates would deadlock under burst.
-		tk, err := s.admission.Acquire(ln.ctx, ln.tenant, ln.class, ln.cost)
-		if err != nil {
-			return s.shedResponse(key, err)
-		}
-		defer tk.Release()
-	} else {
-		s.sem <- struct{}{}
-		defer func() { <-s.sem }()
+	tk, err := s.acquire(ln)
+	if err != nil {
+		return s.shedResponse(key, err)
 	}
+	defer func() {
+		s.release(tk)
+		if resp.code == http.StatusServiceUnavailable {
+			// a run past its deadline: the hint counts its slot as free
+			resp.retryAfter = s.retryAfterSeconds()
+		}
+	}()
 	s.inFlight.Add(1)
 	defer s.inFlight.Add(-1)
 
-	pool := s.scratchPool(req.Platform.NumProcs())
-	sc := pool.Get().(*heuristics.Scratch)
+	sc := s.scratch.Get().(*heuristics.Scratch)
 	defer func() {
 		if r := recover(); r != nil {
 			s.errors.Add(1)
-			resp = Response{Key: key, Error: fmt.Sprintf("service: internal fault: %v", r), serverFault: true}
+			resp = Response{Key: key, Error: fmt.Sprintf("service: internal fault: %v", r), code: http.StatusInternalServerError}
 			return // sc dropped, not pooled — see the function comment
 		}
-		pool.Put(sc)
+		s.scratch.Put(sc)
 	}()
 
 	tune := &heuristics.Tuning{Scratch: sc}
@@ -370,13 +322,13 @@ func (s *Server) run(req *Request, key string, model sched.Model, ln lane) (resp
 		if errors.Is(err, heuristics.ErrCanceled) {
 			s.timeouts.Add(1)
 			return Response{Key: key, Error: fmt.Sprintf(
-				"service: compute exceeded the %s request deadline", s.cfg.RequestTimeout), timedOut: true}
+				"service: compute exceeded the %s request deadline", s.cfg.RequestTimeout), code: http.StatusServiceUnavailable}
 		}
 		return Response{Key: key, Error: err.Error()}
 	}
 	if err := sched.Validate(req.Graph, req.Platform, schedule, model); err != nil {
 		s.errors.Add(1)
-		return Response{Key: key, Error: fmt.Sprintf("service: produced schedule failed validation: %v", err), serverFault: true}
+		return Response{Key: key, Error: fmt.Sprintf("service: produced schedule failed validation: %v", err), code: http.StatusInternalServerError}
 	}
 
 	// a graph of all-zero weights legally yields makespan 0; guard the
@@ -398,17 +350,10 @@ func (s *Server) run(req *Request, key string, model sched.Model, ln lane) (resp
 	}
 }
 
-// RunBatch executes a batch's jobs concurrently on the worker pool and
-// returns responses in input order. Per-job failures are reported in the
-// matching Response.Error; one bad job never fails its neighbours. Batch
-// jobs always compute locally (no peer forwarding), but identical jobs
-// still coalesce through the singleflight. Under admission control every
-// batch job is Background class — the first traffic the brownout ladder
-// sheds.
-func (s *Server) RunBatch(b *Batch) BatchResponse {
-	return s.runBatch(context.Background(), b, defaultTenant)
-}
-
+// runBatch executes a batch's jobs concurrently, at most PoolSize at a
+// time, and returns responses in input order. Per-job failures are
+// reported in the matching Response.Error; one bad job never fails its
+// neighbours.
 func (s *Server) runBatch(ctx context.Context, b *Batch, tenant string) BatchResponse {
 	out := BatchResponse{Responses: make([]Response, len(b.Requests))}
 	workers := s.cfg.PoolSize
@@ -434,21 +379,21 @@ func (s *Server) runBatch(ctx context.Context, b *Batch, tenant string) BatchRes
 	return out
 }
 
-// runBatchJob is Run with a batch job's admission identity: the caller's
-// tenant and context, class forced to Background regardless of cost.
+// runBatchJob serves one batch job through the flight, with no peer fill
+// (batch jobs always compute locally, but identical jobs still coalesce),
+// under a batch job's lane: the caller's tenant and context, class
+// Background regardless of cost — the first traffic the brownout ladder
+// sheds.
 func (s *Server) runBatchJob(ctx context.Context, req *Request, tenant string) Response {
 	model, err := req.normalize()
 	if err != nil {
 		s.errors.Add(1)
 		return Response{Error: err.Error()}
 	}
-	key := CanonicalKey(req)
-	if resp, _, ok := s.cache.get(key); ok {
-		s.hits.Add(1)
-		return resp
-	}
-	return s.runFlight(req, key, model,
+	sum := CanonicalSum(req)
+	resp, _, _ := s.serveFlight(req, sum, hex.EncodeToString(sum[:]), model, false, nil,
 		lane{ctx: ctx, tenant: tenant, class: admit.Background, cost: estimateCost(req)})
+	return resp
 }
 
 // Handler returns the server's HTTP surface:
@@ -527,16 +472,17 @@ func (s *Server) guardEpoch(w http.ResponseWriter, r *http.Request, what string)
 // the raw body bytes are hashed and looked up in the cache's byte index, so
 // a repeated request costs one pooled body read, one SHA-256 and one Write
 // of the pre-encoded response. Only requests that miss the byte index are
-// decoded (decodeRequest: one pass over the pooled body); a cold key owned
-// by another replica is filled from the owner before this replica computes
-// (peerFill). Every reply with encoded bytes — a run's miss reply, a
-// canonical-index hit under a new byte spelling, a peer fill — is written
-// as is and registers the body hash, so the next repeat stays on the fast
-// path.
+// decoded (decodeRequest: one pass over the pooled body) and served
+// through the flight; a cold key owned by another replica is filled from
+// the owner before this replica computes (peerFill). Every reply with
+// encoded bytes — a run's miss reply, a canonical-index hit under a new
+// byte spelling, a peer fill — is written as is and registers the body
+// hash, so the next repeat stays on the fast path.
 func (s *Server) serveSchedule(w http.ResponseWriter, r *http.Request, fromPeer bool) {
-	buf, release, err := s.readBody(w, r)
+	buf, release, err := readBody(w, r)
 	if err != nil {
-		return // readBody already answered 400 and counted the error
+		s.badRequest(w, err)
+		return
 	}
 	defer release()
 	accepted := func() {
@@ -557,90 +503,64 @@ func (s *Server) serveSchedule(w http.ResponseWriter, r *http.Request, fromPeer 
 
 	var req Request
 	if err := decodeRequest(buf.Bytes(), &req); err != nil {
-		s.errors.Add(1)
-		writeJSON(w, http.StatusBadRequest, Response{Error: fmt.Sprintf("service: bad request body: %v", err)})
+		s.badRequest(w, err)
 		return
 	}
 	accepted()
 	model, err := req.normalize()
 	if err != nil {
-		s.errors.Add(1)
-		writeJSON(w, http.StatusBadRequest, Response{Error: err.Error()})
+		s.badRequest(w, err)
 		return
 	}
 	sum := CanonicalSum(&req)
 	key := hex.EncodeToString(sum[:])
-	class, cost := classifyRequest(&req)
-	// the lane's ctx is the client's: a queued request whose client hangs
-	// up (or whose deadline passes) leaves the admission queue without
-	// ever consuming a pool slot
-	ln := lane{ctx: r.Context(), tenant: tenantOf(r), class: class, cost: cost}
-
-	// everything below the byte index runs under singleflight: a canonical
-	// hit under a new byte spelling, a peer fill for a key another replica
-	// owns, or a local compute — whichever the leader resolves, concurrent
-	// identical requests share it
-	var resp Response
-	var enc []byte
-	for attempt := 0; ; attempt++ {
-		var stream *relay.Reply
-		resp, enc, stream = s.serveFlight(&req, sum, key, model, fromPeer, buf.Bytes(), ln)
-		if stream != nil {
-			// this request led a stream-marked fill: pipe the owner's body
-			// straight to the client, no staging
-			s.streamRelay(w, stream)
-			return
-		}
-		if !resp.relayStreamed {
-			break
-		}
-		// followed a flight whose leader streamed to its own client (nothing
-		// cached, nothing shareable): retry — likely becoming the leader of a
-		// fresh relay — and after the budget compute locally outside the flight
-		if attempt >= maxServeAttempts-1 {
-			s.misses.Add(1)
-			resp, enc = s.compute(&req, key, model, ln)
-			break
-		}
+	resp, enc, stream := s.serveFlight(&req, sum, key, model, !fromPeer, buf.Bytes(), clientLane(r, &req))
+	if stream != nil {
+		// this request led a stream-marked fill: pipe the owner's body
+		// straight to the client, no staging
+		s.streamRelay(w, stream)
+		return
 	}
 	if enc != nil {
 		writeRaw(w, http.StatusOK, enc)
 		s.cache.alias(key, body)
 		return
 	}
-	status := http.StatusOK
-	switch {
-	case resp.shed:
-		status = http.StatusServiceUnavailable
-		w.Header().Set("Retry-After", strconv.Itoa(resp.retryAfter))
-	case resp.timedOut:
-		status = http.StatusServiceUnavailable
-		w.Header().Set("Retry-After", strconv.Itoa(s.retryAfterSeconds()))
-	case resp.serverFault:
-		status = http.StatusInternalServerError
-	case resp.Error != "":
-		status = http.StatusBadRequest
-	}
-	s.writeResponse(w, status, &resp)
+	s.writeResponse(w, resp.status(w), &resp)
 }
 
 // readBody reads one request body through the serving path's pooled-buffer,
-// size-capped read: every body-carrying endpoint (/schedule, /cache/peer,
-// the session surface) shares this path, so oversize and torn bodies get
-// the same 400 everywhere and steady-state requests reuse grown buffers.
-// On success the caller must invoke release when done with the bytes; on
-// error the 400 has already been written and the error counted.
-func (s *Server) readBody(w http.ResponseWriter, r *http.Request) (*bytes.Buffer, func(), error) {
+// size-capped read: every body-carrying endpoint shares this path, so
+// oversize and torn bodies get the same 400 text everywhere and
+// steady-state requests reuse grown buffers. On success the caller must
+// invoke release when done with the bytes; the error is the 400's text.
+func readBody(w http.ResponseWriter, r *http.Request) (*bytes.Buffer, func(), error) {
 	//schedlint:allow scratchpair — ownership transfers: the caller must invoke the returned release
 	buf := bufPool.Get().(*bytes.Buffer)
 	buf.Reset()
 	if _, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, maxBodyBytes)); err != nil {
 		bufPool.Put(buf)
-		s.errors.Add(1)
-		writeJSON(w, http.StatusBadRequest, Response{Error: fmt.Sprintf("service: bad request body: %v", err)})
-		return nil, nil, err
+		return nil, nil, fmt.Errorf("service: bad request body: %w", err)
 	}
 	return buf, func() { bufPool.Put(buf) }, nil
+}
+
+// decodeBody reads a body through readBody and decodes it with
+// decodeStrict: the path of every body that is not a Request. The error,
+// from either step, is the 400's text.
+func decodeBody(w http.ResponseWriter, r *http.Request, dst any) error {
+	buf, release, err := readBody(w, r)
+	if err != nil {
+		return err
+	}
+	defer release()
+	return decodeStrict(buf.Bytes(), dst)
+}
+
+// badRequest answers 400 with err's text and counts the error.
+func (s *Server) badRequest(w http.ResponseWriter, err error) {
+	s.errors.Add(1)
+	writeJSON(w, http.StatusBadRequest, Response{Error: err.Error()})
 }
 
 // peerFill is the requester side of the distributed cache: on a local miss
@@ -717,28 +637,24 @@ func (s *Server) streamRelay(w http.ResponseWriter, rep *relay.Reply) {
 
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	var b Batch
-	if err := decodeJSON(w, r, &b); err != nil {
-		s.errors.Add(1)
-		writeJSON(w, http.StatusBadRequest, Response{Error: err.Error()})
+	if err := decodeBody(w, r, &b); err != nil {
+		s.badRequest(w, err)
 		return
 	}
 	if len(b.Requests) == 0 {
-		s.errors.Add(1)
-		writeJSON(w, http.StatusBadRequest, Response{Error: "service: batch has no requests"})
+		s.badRequest(w, errors.New("service: batch has no requests"))
 		return
 	}
 	s.batches.Add(1)
 	s.batchJobs.Add(int64(len(b.Requests)))
 	out := s.runBatch(r.Context(), &b, tenantOf(r))
-	if s.cfg.StreamBytes > 0 {
-		est := 0
-		for i := range out.Responses {
-			est += out.Responses[i].estimateBytes()
-		}
-		if est > s.cfg.StreamBytes {
-			streamJSON(w, http.StatusOK, &out)
-			return
-		}
+	est := 0
+	for i := range out.Responses {
+		est += out.Responses[i].estimateBytes()
+	}
+	if est > s.streamAt {
+		streamJSON(w, http.StatusOK, &out)
+		return
 	}
 	writeJSON(w, http.StatusOK, &out)
 }
@@ -969,16 +885,6 @@ func (s *Server) Relay() *relay.Relay {
 	return s.peers.relay
 }
 
-// decodeJSON strictly decodes one JSON value from a size-capped body.
-func decodeJSON(w http.ResponseWriter, r *http.Request, dst any) error {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(dst); err != nil {
-		return fmt.Errorf("service: bad request body: %w", err)
-	}
-	return nil
-}
-
 // estimateBytes conservatively estimates the encoded JSON size of a
 // response from its event counts (a task event is ~70 bytes; a comm event
 // carries a hop array), so the serving path can decide to stream without
@@ -988,13 +894,13 @@ func (r *Response) estimateBytes() int {
 }
 
 // shouldStream reports whether a response's estimated encoding is above the
-// configured streaming threshold.
+// streaming threshold.
 func (s *Server) shouldStream(resp *Response) bool {
-	return s.cfg.StreamBytes > 0 && resp.estimateBytes() > s.cfg.StreamBytes
+	return resp.estimateBytes() > s.streamAt
 }
 
 // writeResponse writes one Response, streaming the encode straight to the
-// ResponseWriter when its estimated size exceeds Config.StreamBytes instead
+// ResponseWriter when its estimated size exceeds the threshold instead
 // of staging the whole body in a pooled buffer. Streamed responses trade
 // the encode-failure-to-500 conversion (headers are already out by then)
 // for bounded memory on schedules whose JSON runs to many megabytes; such

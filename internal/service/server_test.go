@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -14,6 +15,7 @@ import (
 	"oneport/internal/heuristics"
 	"oneport/internal/platform"
 	"oneport/internal/sched"
+	"oneport/internal/service/relay"
 	"oneport/internal/testbeds"
 )
 
@@ -264,6 +266,66 @@ func TestBadPayloads(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestStrictBodyErrors pins the 400s of the bodies that are not a
+// Request, all read by readBody and decoded by decodeStrict: the exact
+// error texts of /batch (malformed, an unknown field, past the body cap,
+// no jobs) and the session delta and import surfaces, each counted in
+// errors, and /ring's adminError body, which is not counted.
+func TestStrictBodyErrors(t *testing.T) {
+	srv := New(Config{Self: "http://self.example:1", AdminToken: "sekrit"})
+	handler := srv.Handler()
+	oversized := io.MultiReader(strings.NewReader(`{"requests":[`),
+		io.LimitReader(spaces{}, maxBodyBytes))
+	cases := []struct {
+		path string
+		body io.Reader
+		want string
+	}{
+		{"/batch", strings.NewReader(`{"requests":[`), `service: bad request body: unexpected EOF`},
+		{"/batch", strings.NewReader(`{"jobs":[]}`), `service: bad request body: json: unknown field "jobs"`},
+		{"/batch", oversized, `service: bad request body: http: request body too large`},
+		{"/batch", strings.NewReader(`{"requests":[]}`), `service: batch has no requests`},
+		{"/session/x/delta", strings.NewReader(`{"graph":[`), `service: bad request body: unexpected EOF`},
+		{"/session/peer/import", strings.NewReader(`{"id":1}`),
+			`service: bad request body: json: cannot unmarshal number into Go struct field Snapshot.id of type string`},
+	}
+	for i, c := range cases {
+		req := httptest.NewRequest(http.MethodPost, c.path, c.body)
+		req.Header.Set(relay.EpochHeader, "0")
+		rec := httptest.NewRecorder()
+		handler.ServeHTTP(rec, req)
+		var resp Response
+		if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil || rec.Code != http.StatusBadRequest || resp.Error != c.want {
+			t.Fatalf("%s (case %d) answered %d %s, want 400 %q", c.path, i, rec.Code, rec.Body.Bytes(), c.want)
+		}
+		if got := srv.StatsSnapshot().Errors; got != int64(i+1) {
+			t.Fatalf("%s (case %d): errors = %d, want %d", c.path, i, got, i+1)
+		}
+	}
+
+	req := httptest.NewRequest(http.MethodPost, "/ring", strings.NewReader(`{"epoch":"2"}`))
+	req.Header.Set("Authorization", "Bearer sekrit")
+	rec := httptest.NewRecorder()
+	handler.ServeHTTP(rec, req)
+	want := `{"error":"service: bad request body: json: cannot unmarshal string into Go struct field ringUpdate.epoch of type uint64"}` + "\n"
+	if rec.Code != http.StatusBadRequest || rec.Body.String() != want {
+		t.Fatalf("/ring answered %d %s, want 400 %s", rec.Code, rec.Body.Bytes(), want)
+	}
+	if got := srv.StatsSnapshot().Errors; got != int64(len(cases)) {
+		t.Fatalf("/ring's 400 counted in errors: %d", got)
+	}
+}
+
+// spaces reads as an endless run of JSON whitespace.
+type spaces struct{}
+
+func (spaces) Read(p []byte) (int, error) {
+	for i := range p {
+		p[i] = ' '
+	}
+	return len(p), nil
 }
 
 // TestZeroWeightGraph: an all-zero-weight graph is legal and yields

@@ -3,9 +3,17 @@
 // subsystem. A request carries a task graph, a platform, a heuristic name,
 // a communication model and options; the server runs it on a bounded worker
 // pool where each in-flight run borrows pooled probe scratch
-// (heuristics.Scratch via sync.Pool), so steady-state requests stay
-// near-zero-alloc in the scheduler core, and returns the validated
-// schedule.
+// (heuristics.Scratch, from one sync.Pool for every platform size), so
+// steady-state requests stay near-zero-alloc in the scheduler core, and
+// returns the validated schedule.
+//
+// The HTTP handler is the only entry point, and each phase of serving
+// exists once: every body is read by one pooled, size-capped read and
+// decoded by the request codec or one strict decoder; every scheduler run
+// a client request starts — a cold /schedule or /cache/peer run, a /batch
+// job, a session open — first passes one gate (a pool slot, or an
+// admission ticket); identical cold requests and batch jobs share one
+// singleflight; and a failed Response carries its own HTTP status.
 //
 // Results are cached in an LRU keyed by a canonical content hash of
 // (graph, platform, heuristic, model, options) — see CanonicalKey — so a
@@ -38,6 +46,8 @@ package service
 
 import (
 	"fmt"
+	"net/http"
+	"strconv"
 
 	"oneport/internal/cli"
 	"oneport/internal/graph"
@@ -97,7 +107,7 @@ func (r *Request) normalize() (sched.Model, error) {
 	}
 	// rewrite aliases ("macro-dataflow", "1port", ...) to the canonical
 	// name so equivalent requests share one cache key
-	r.Model = canonicalModelName(model)
+	r.Model = cli.ModelName(model)
 	if r.Options.B < 0 {
 		return 0, fmt.Errorf("service: B = %d must be non-negative", r.Options.B)
 	}
@@ -109,10 +119,6 @@ func (r *Request) normalize() (sched.Model, error) {
 	}
 	return model, nil
 }
-
-// canonicalModelName maps a parsed model back to the primary token
-// cli.ParseModel accepts for it.
-func canonicalModelName(m sched.Model) string { return cli.ModelName(m) }
 
 // Response is the outcome of one scheduling job. For batch entries that
 // failed, Error is set and every other field is zero.
@@ -135,23 +141,32 @@ type Response struct {
 	Schedule  *sched.Schedule `json:"schedule,omitempty"`
 	Error     string          `json:"error,omitempty"`
 
-	// serverFault marks an Error as server-originated (a produced schedule
-	// failing validation) rather than a bad request, so the HTTP layer can
-	// answer 500 instead of 400.
-	serverFault bool
-	// timedOut marks an Error as a Config.RequestTimeout expiry, answered
-	// 503 with a Retry-After header (load shedding, not a bad request).
-	timedOut bool
+	// code is the HTTP status of a failed Response: 500 for a server
+	// fault (a panic, a produced schedule failing validation), 503 for a
+	// shed or a run past Config.RequestTimeout, and 0 for the request's
+	// own fault, answered 400. retryAfter is the whole seconds a 503
+	// carries in its Retry-After header.
+	code       int
+	retryAfter int
 	// relayStreamed marks a singleflight result whose leader streamed a
 	// peer relay to its own client: there is nothing shareable, so
 	// followers retry their flight (bounded by maxServeAttempts).
 	relayStreamed bool
-	// shed marks an Error as an admission-control refusal — answered 503
-	// with retryAfter (whole seconds) in the Retry-After header, computed
-	// from the queue's observed drain rate. A shed response never
-	// consumed a pool slot.
-	shed       bool
-	retryAfter int
+}
+
+// status returns the HTTP status r is answered with, and sets its
+// Retry-After on w when it carries one.
+func (r *Response) status(w http.ResponseWriter) int {
+	switch {
+	case r.Error == "":
+		return http.StatusOK
+	case r.code == 0:
+		return http.StatusBadRequest
+	}
+	if r.retryAfter > 0 {
+		w.Header().Set("Retry-After", strconv.Itoa(r.retryAfter))
+	}
+	return r.code
 }
 
 // Batch is the payload of POST /batch: independent requests executed

@@ -1,10 +1,8 @@
 package service
 
 import (
-	"bytes"
 	"context"
 	"crypto/sha256"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
@@ -54,36 +52,33 @@ func (s *Server) handleSessionOpen(w http.ResponseWriter, r *http.Request) {
 	if s.refuseWhileDraining(w) {
 		return
 	}
-	buf, release, err := s.readBody(w, r)
+	buf, release, err := readBody(w, r)
 	if err != nil {
+		s.badRequest(w, err)
 		return
 	}
 	defer release()
 	var req Request
 	if err := decodeRequest(buf.Bytes(), &req); err != nil {
-		s.errors.Add(1)
-		writeJSON(w, http.StatusBadRequest, Response{Error: fmt.Sprintf("service: bad request body: %v", err)})
+		s.badRequest(w, err)
 		return
 	}
 	model, err := req.normalize()
 	if err != nil {
-		s.errors.Add(1)
-		writeJSON(w, http.StatusBadRequest, Response{Error: err.Error()})
+		s.badRequest(w, err)
 		return
 	}
-	if s.admission != nil {
-		// a session open is a cold run — it pays admission like /schedule
-		// (deltas on the open session are Interactive and always serve).
-		// The ticket is held across Open because the run consumes real
-		// compute; the client's context bounds the queue wait.
-		class, cost := classifyRequest(&req)
-		tk, aerr := s.admission.Acquire(r.Context(), tenantOf(r), class, cost)
-		if aerr != nil {
-			s.writeShed(w, aerr)
-			return
-		}
-		defer tk.Release()
+	// a session open is a cold run: it passes the gate like /schedule
+	// (deltas on the open session bypass it), held across Open because the
+	// run consumes real compute; the client's context bounds an admission
+	// queue wait
+	tk, err := s.acquire(clientLane(r, &req))
+	if err != nil {
+		resp := s.shedResponse("", err)
+		writeJSON(w, resp.status(w), &resp)
+		return
 	}
+	defer s.release(tk)
 	ctx, cancel := s.sessionCtx(r)
 	defer cancel()
 	id, info, err := s.sessions.Open(ctx, session.Params{
@@ -110,17 +105,9 @@ func (s *Server) handleSessionOpen(w http.ResponseWriter, r *http.Request) {
 // re-schedule. The body rides the same pooled, size-capped read path as
 // /schedule.
 func (s *Server) handleSessionDelta(w http.ResponseWriter, r *http.Request) {
-	buf, release, err := s.readBody(w, r)
-	if err != nil {
-		return
-	}
-	defer release()
 	var d session.Delta
-	dec := json.NewDecoder(bytes.NewReader(buf.Bytes()))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&d); err != nil {
-		s.errors.Add(1)
-		writeJSON(w, http.StatusBadRequest, Response{Error: fmt.Sprintf("service: bad request body: %v", err)})
+	if err := decodeBody(w, r, &d); err != nil {
+		s.badRequest(w, err)
 		return
 	}
 	id := r.PathValue("id")
@@ -190,17 +177,9 @@ func (s *Server) handleSessionImport(w http.ResponseWriter, r *http.Request) {
 	if !s.guardEpoch(w, r, "import") {
 		return
 	}
-	buf, release, err := s.readBody(w, r)
-	if err != nil {
-		return
-	}
-	defer release()
 	var snap session.Snapshot
-	dec := json.NewDecoder(bytes.NewReader(buf.Bytes()))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&snap); err != nil {
-		s.errors.Add(1)
-		writeJSON(w, http.StatusBadRequest, Response{Error: fmt.Sprintf("service: bad request body: %v", err)})
+	if err := decodeBody(w, r, &snap); err != nil {
+		s.badRequest(w, err)
 		return
 	}
 	ctx, cancel := s.sessionCtx(r)
@@ -327,7 +306,7 @@ func (s *Server) writeSessionError(w http.ResponseWriter, err error) {
 
 // writeSessionResponse writes a session reply, encoded once by the append
 // encoder into a pooled buffer, or streamed through encoding/json for
-// bodies whose estimate exceeds Config.StreamBytes — the same threshold
+// bodies whose estimate exceeds the streaming threshold — the same one
 // and wire mark as /schedule, so a delta on a huge session never stages a
 // many-megabyte body in pooled buffers. A reply the append encoder refuses
 // goes to writeJSON, whose encoding/json refuses it too and answers 500.
@@ -348,7 +327,3 @@ func (s *Server) writeSessionResponse(w http.ResponseWriter, resp *SessionRespon
 	*bp = append(b, '\n')
 	writeRaw(w, http.StatusOK, *bp)
 }
-
-// Sessions exposes the session manager, for callers embedding the server
-// that need direct (non-HTTP) session access or its counters.
-func (s *Server) Sessions() *session.Manager { return s.sessions }

@@ -80,6 +80,54 @@ func scheduleJSON(t *testing.T, ts *httptest.Server, req Request) []byte {
 	return b
 }
 
+// TestSessionOpenWaitsForPoolSlot pins the gate with admission off: a
+// session open is a cold run, so it waits for a pool slot as a /schedule
+// run does. With the only slot held by a /schedule compute parked in the
+// hook, a concurrent POST /session must not answer until the hook
+// releases; it then answers 200 with the cold schedule (run under -race
+// in CI).
+func TestSessionOpenWaitsForPoolSlot(t *testing.T) {
+	srv := New(Config{PoolSize: 1})
+	handler := srv.Handler()
+	payload := luPayload(t, 12)
+	entered, gate := make(chan struct{}), make(chan struct{})
+	srv.testHook = func(*Request) {
+		close(entered)
+		<-gate
+	}
+	serve := func(path string) <-chan *httptest.ResponseRecorder {
+		done := make(chan *httptest.ResponseRecorder, 1)
+		go func() {
+			rec := httptest.NewRecorder()
+			handler.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, bytes.NewReader(payload)))
+			done <- rec
+		}()
+		return done
+	}
+	scheduled := serve("/schedule")
+	<-entered
+	opened := serve("/session")
+	select {
+	case rec := <-opened:
+		close(gate)
+		t.Fatalf("session open answered %d while the only pool slot was held: %.200s", rec.Code, rec.Body.Bytes())
+	case <-time.After(200 * time.Millisecond):
+	}
+	close(gate)
+
+	var cold Response
+	if rec := <-scheduled; rec.Code != http.StatusOK || json.Unmarshal(rec.Body.Bytes(), &cold) != nil {
+		t.Fatalf("parked /schedule answered %d: %.200s", rec.Code, rec.Body.Bytes())
+	}
+	var sr SessionResponse
+	if rec := <-opened; rec.Code != http.StatusOK || json.Unmarshal(rec.Body.Bytes(), &sr) != nil || sr.SessionID == "" {
+		t.Fatalf("session open answered %d: %.200s", rec.Code, rec.Body.Bytes())
+	}
+	if mustJSON(t, sr.Schedule) != mustJSON(t, cold.Schedule) {
+		t.Fatal("session open's schedule differs from the cold /schedule run")
+	}
+}
+
 // TestSessionHTTPOracle pins the surface's core contract: after a chain of
 // deltas, the session's schedule is byte-identical to POST /schedule of the
 // equivalent final graph on the same server.
@@ -287,12 +335,14 @@ func TestSessionHTTPOpenErrors(t *testing.T) {
 }
 
 // TestSessionHTTPStreaming is the PR's streaming regression: a session
-// response whose estimate exceeds Config.StreamBytes must take the
+// response whose estimate exceeds the streaming threshold must take the
 // streaming path — stream mark on the wire, no pooled staging — and still
 // carry the full, decodable session payload. Small responses must stay
 // unmarked.
 func TestSessionHTTPStreaming(t *testing.T) {
-	ts := httptest.NewServer(New(Config{StreamBytes: 2048}).Handler())
+	srv := New(Config{})
+	srv.streamAt = 2048
+	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 	pl := platform.Paper()
 	big := testbeds.LU(10, 10) // 66 tasks: estimate ~6k+ > 2048

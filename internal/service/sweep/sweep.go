@@ -226,22 +226,12 @@ func runJob(job Job, pl *platform.Platform, tune *heuristics.Tuning) Result {
 			res.Err = err.Error()
 			return res
 		}
-		fn, err := heuristics.ByNameTuned("ilha", heuristics.ILHAOptions{B: job.B, ScanDepth: job.Scan}, tune)
+		p, err := exp.RunBPoint(g, pl, model, job.B, job.Scan, tune)
 		if err != nil {
 			res.Err = err.Error()
 			return res
 		}
-		s, err := fn(g, pl, model)
-		if err != nil {
-			res.Err = err.Error()
-			return res
-		}
-		if err := sched.Validate(g, pl, s, model); err != nil {
-			res.Err = fmt.Sprintf("B=%d: %v", job.B, err)
-			return res
-		}
-		res.Speedup = pl.SequentialTime(g.TotalWeight()) / s.Makespan()
-		res.Comms = s.CommCount()
+		res.Speedup, res.Comms = p.Speedup, p.Comms
 	default:
 		res.Err = fmt.Sprintf("sweep: unknown job kind %q", job.Kind)
 	}
